@@ -13,7 +13,7 @@ needs no synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,16 +153,31 @@ def supremum_config(depth, r=0.5):
     return GradedMetricConfig(SUPREMUM, geometric_weights(r, depth), depth)
 
 
-def _weighted_terms(a, b, cfg):
-    if a.depth != cfg.truncation:
-        raise ShapeError(f"ladder depth {a.depth} != truncation {cfg.truncation}")
+def metric_rows(ladders, cfg):
+    """Graded metric of every ladder along the last axis of `ladders`.
+
+    The one ladder-to-metric reduction: an array of shape (..., depth),
+    depth equal to the truncation, maps to shape (...).  Entries must be
+    non-negative; callers that build ladders from data guarantee it.
+    """
+    if ladders.shape[-1] != cfg.truncation:
+        raise ShapeError(f"ladder depth {ladders.shape[-1]} != truncation {cfg.truncation}")
+    terms = cfg.level_weights * (ladders / (1.0 + ladders))  # phi, minus its domain check
+    if cfg.flavor == STANDARD:
+        return np.sum(terms, axis=-1)
+    return np.max(terms, axis=-1)
+
+
+def _as_flavor(cfg, flavor):
+    return cfg if cfg.flavor == flavor else replace(cfg, flavor=flavor)
+
+
+def _difference(a, b):
     if b is None:
-        delta = a.values
-    else:
-        if b.depth != a.depth:
-            raise ShapeError(f"ladder depths differ: {a.depth} vs {b.depth}")
-        delta = np.abs(a.values - b.values)
-    return cfg.level_weights * phi(delta)
+        return a.values
+    if b.depth != a.depth:
+        raise ShapeError(f"ladder depths differ: {a.depth} vs {b.depth}")
+    return np.abs(a.values - b.values)
 
 
 def standard_metric(a, b, cfg):
@@ -172,12 +187,12 @@ def standard_metric(a, b, cfg):
     between two model elements pass the ladder of their difference, which
     is what makes the result translation invariant.
     """
-    return float(np.sum(_weighted_terms(a, b, cfg)))
+    return float(metric_rows(_difference(a, b), _as_flavor(cfg, STANDARD)))
 
 
 def sup_metric(a, b, cfg):
     """Weighted maximum of modulus values over ladder levels."""
-    return float(np.max(_weighted_terms(a, b, cfg)))
+    return float(metric_rows(_difference(a, b), _as_flavor(cfg, SUPREMUM)))
 
 
 def graded_metric(a, b, cfg):

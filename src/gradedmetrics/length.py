@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STANDARD, graded_metric, phi
+from .core import STANDARD, graded_metric, metric_rows, phi
 from .errors import DomainError, SingularVelocityError
-from .models import CurveSpec, element_metric
+from .minkowski import ball_gauge_closed_form
+from .models import CurveSpec, element_metric, sequence_ladders
 
 DIVERGENCE_FACTOR = 1.5
 DIVERGENCE_WINDOW = 3
@@ -57,12 +58,8 @@ def _chord_sum(curve, cfg, level):
     ts = np.linspace(a, b, pieces + 1)
     points = [curve.position(t) for t in ts]
     if all(hasattr(p, "coords") for p in points):
-        coords = np.stack([p.coords for p in points])
-        ladders = np.cumsum(np.abs(np.diff(coords, axis=0)), axis=1)[:, : cfg.truncation]
-        terms = cfg.level_weights * phi(ladders)
-        if cfg.flavor == STANDARD:
-            return float(np.sum(terms))
-        return float(np.sum(np.max(terms, axis=1)))
+        chords = np.diff(np.stack([p.coords for p in points]), axis=0)
+        return float(np.sum(metric_rows(sequence_ladders(chords, cfg.truncation), cfg)))
     return float(
         sum(element_metric(points[i + 1], points[i], cfg) for i in range(pieces))
     )
@@ -98,18 +95,12 @@ def gromov_length(curve, cfg, tol=1e-6, max_level=24):
 def _velocity_gauge_term(velocity, cfg):
     """Weighted modulus sum of the velocity's dyadic ball gauges.
 
-    Uses the analytic gauge inversion, vectorized across the ball radii;
-    the minkowski module's bisected functional agrees with it within its
-    tolerance (cross-checked there).
+    Uses the closed-form gauge over all radii at once; the minkowski
+    module's bisected functional agrees with it within its tolerance.
     """
     weights = cfg.level_weights
-    ladder = velocity.ladder(cfg.truncation).values
     radii = 2.0 ** -(np.arange(cfg.truncation) + 1.0)
-    mask = weights[None, :] > radii[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        targets = radii[:, None] / weights[None, :]
-        candidates = np.where(mask, ladder[None, :] * (1.0 - targets) / targets, 0.0)
-    gauges = np.max(candidates, axis=1)
+    gauges = ball_gauge_closed_form(weights, velocity.ladder(cfg.truncation).values, radii)
     return float(np.sum(weights * phi(gauges)))
 
 

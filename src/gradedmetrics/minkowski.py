@@ -88,19 +88,19 @@ def minkowski_functional(cfg, i, v, tol=1e-9):
 
 
 def ball_gauge_closed_form(weights, ladder_values, radius):
-    """Analytic inversion of the gauge equation, for vectorized callers.
+    """Analytic inversion of the gauge equation, vectorized over radii.
 
     Agrees with the bisected gauge to within its tolerance; levels whose
     weight does not exceed the radius cannot pin the gauge and drop out,
-    so a radius at or above the essential sup yields 0.
+    so a radius at or above the essential sup yields 0.  An array of radii
+    gives an array of gauges.
     """
     weights = np.asarray(weights)
-    ladder_values = np.asarray(ladder_values)
-    mask = weights > radius
-    if not mask.any() or not np.any(ladder_values[mask] > 0.0):
-        return 0.0
-    targets = radius / weights[mask]
-    return float(np.max(ladder_values[mask] * (1.0 - targets) / targets))
+    radii = np.asarray(radius, dtype=float)[..., None]
+    targets = radii / weights
+    candidates = np.where(weights > radii, np.asarray(ladder_values) * (1.0 - targets) / targets, 0.0)
+    gauges = np.max(candidates, axis=-1)
+    return float(gauges) if gauges.ndim == 0 else gauges
 
 
 def dyadic_minkowski_family(cfg, v, depth=None, tol=1e-9, first_exponent=2):

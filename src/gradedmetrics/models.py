@@ -99,17 +99,56 @@ def _mode_numbers(bandwidth):
     return np.arange(-bandwidth, bandwidth + 1)
 
 
-_BASIS_CACHE = {}
+def sequence_ladders(rows, depth):
+    """Ladders of coordinate rows (..., N): partial sums of magnitudes up to depth."""
+    return np.cumsum(np.abs(rows[..., :depth]), axis=-1)
 
 
-def _eval_basis(bandwidth, size):
-    key = (bandwidth, size)
-    basis = _BASIS_CACHE.get(key)
-    if basis is None:
-        x = 2.0 * np.pi * np.arange(size) / size
-        basis = np.exp(1j * np.outer(x, _mode_numbers(bandwidth)))
-        _BASIS_CACHE[key] = basis
-    return basis
+def function_ladders(rows, depth):
+    """Ladders of Fourier rows (..., 2B+1): partial sums of derivative sup norms."""
+    return np.cumsum(_derivative_sups(rows, depth), axis=-1)
+
+
+_FFT_BLOCK = 1 << 20  # complex entries of the largest grid array built at once
+
+
+def _grid_values(spectra, size):
+    """Real values on the uniform size-point grid of rows of modes -B..B.
+
+    Mode k lands in bin k mod size; a grid coarser than the band
+    (size < 2B+1) sums the modes that share a bin, so it still samples the
+    function exactly.
+    """
+    n = spectra.shape[-1]
+    bandwidth = (n - 1) // 2
+    width = size * -(-n // size)
+    folded = np.zeros(spectra.shape[:-1] + (width,), dtype=complex)
+    folded[..., : bandwidth + 1] = spectra[..., bandwidth:]
+    folded[..., width - bandwidth :] = spectra[..., :bandwidth]
+    if width > size:
+        folded = folded.reshape(spectra.shape[:-1] + (width // size, size)).sum(axis=-2)
+    return np.fft.ifft(folded, axis=-1, norm="forward").real
+
+
+def _derivative_sups(rows, depth):
+    """Sup norms on the default grid of derivative orders 0..depth-1.
+
+    One inverse FFT covers all orders of a block of rows; blocks keep the
+    (rows, depth, grid) working array below _FFT_BLOCK entries.
+    """
+    n = rows.shape[-1]
+    size = _GRID_FACTOR * max((n - 1) // 2, 1)
+    powers = np.empty((depth, n), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = 1j * _mode_numbers((n - 1) // 2)
+    np.cumprod(powers, axis=0, out=powers)
+    flat = rows.reshape(-1, n)
+    out = np.empty((flat.shape[0], depth))
+    step = max(1, _FFT_BLOCK // (depth * size))
+    for start in range(0, flat.shape[0], step):
+        values = _grid_values(flat[start : start + step, None, :] * powers, size)
+        np.max(np.abs(values), axis=-1, out=out[start : start + step])
+    return out.reshape(rows.shape[:-1] + (depth,))
 
 
 @dataclass(frozen=True)
@@ -160,8 +199,7 @@ class PeriodicFunction:
         """Sample points and values on a uniform grid (default 8x bandwidth)."""
         size = size or _GRID_FACTOR * max(self.bandwidth, 1)
         x = 2.0 * np.pi * np.arange(size) / size
-        values = np.real(_eval_basis(self.bandwidth, size) @ self.fourier)
-        return x, values
+        return x, _grid_values(self.fourier, size)
 
     def __call__(self, x):
         k = _mode_numbers(self.bandwidth)
@@ -179,24 +217,15 @@ class PeriodicFunction:
         return PeriodicFunction(np.pad(self.fourier, (pad, pad)))
 
     def sup_norm(self):
-        _, values = self.grid()
-        return float(np.max(np.abs(values)))
+        return float(_derivative_sups(self.fourier, 1)[0])
 
     def level_norms(self, depth):
         """Sup norms of the spectral derivatives of orders 0..depth-1."""
-        k = _mode_numbers(self.bandwidth)
-        size = _GRID_FACTOR * max(self.bandwidth, 1)
-        basis = _eval_basis(self.bandwidth, size)
-        coeffs = self.fourier.copy()
-        norms = np.empty(depth)
-        for i in range(depth):
-            norms[i] = np.max(np.abs(np.real(basis @ coeffs)))
-            coeffs = coeffs * (1j * k)
-        return norms
+        return _derivative_sups(self.fourier, depth)
 
     def ladder(self, depth):
         """Partial sums of derivative sup norms up to the requested depth."""
-        return SeminormLadder(np.cumsum(self.level_norms(depth)))
+        return SeminormLadder(function_ladders(self.fourier, depth))
 
     def sup_coordinate_norm(self):
         return self.sup_norm()

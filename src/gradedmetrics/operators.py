@@ -23,13 +23,14 @@ from .errors import (
     EmptyEstimateError,
     ShapeError,
 )
+from .core import metric_rows
 from .models import (
     PeriodicFunction,
     TruncatedSequence,
-    element_norm,
+    function_ladders,
+    harmonic,
     random_function,
-    random_sequence,
-    unit_sequence,
+    sequence_ladders,
 )
 
 SEQ = "seq"
@@ -58,44 +59,26 @@ class LinearOperator:
         if self.space == SEQ:
             if not isinstance(v, TruncatedSequence) or v.depth != self.domain_dim:
                 raise ShapeError("operator domain mismatch")
-            return TruncatedSequence(self._apply_coords(v.coords))
+            return TruncatedSequence(self._apply_rows(v.coords))
         if not isinstance(v, PeriodicFunction) or v.fourier.size != self.domain_dim:
             raise ShapeError("operator domain mismatch")
-        return self._apply_fn(v)
-
-    def _apply_coords(self, c):
-        if self.kind == "identity":
-            return c
-        if self.kind == "up-shift":
-            out = c[1:]
-            if self.codomain_dim == c.size:
-                out = np.append(out, 0.0)
-            return out
-        if self.kind == "down-shift":
-            return np.concatenate(([0.0], c[:-1]))
-        if self.kind == "diagonal":
-            return self.diag * c
-        if self.kind == "dense":
-            return self.matrix @ c
-        if self.kind == "composition":
-            for op in reversed(self.factors):
-                c = op._apply_coords(c)
-            return c
-        raise DomainError(f"unknown operator kind {self.kind!r}")
+        return PeriodicFunction(self._apply_rows(v.fourier))
 
     def _apply_rows(self, rows):
-        """Apply to a batch of coordinate rows at once."""
+        """Apply to coordinate rows along the last axis; the one apply path."""
         if self.kind == "identity":
             return rows
         if self.kind == "up-shift":
-            out = rows[:, 1:]
-            if self.codomain_dim == rows.shape[1]:
-                out = np.hstack([out, np.zeros((rows.shape[0], 1))])
+            out = rows[..., 1:]
+            if self.codomain_dim == rows.shape[-1]:
+                out = np.concatenate([out, np.zeros(rows.shape[:-1] + (1,))], axis=-1)
             return out
         if self.kind == "down-shift":
-            return np.hstack([np.zeros((rows.shape[0], 1)), rows[:, :-1]])
+            return np.concatenate([np.zeros(rows.shape[:-1] + (1,)), rows[..., :-1]], axis=-1)
         if self.kind == "diagonal":
-            return rows * self.diag[None, :]
+            return rows * self.diag
+        if self.kind == "derivative":
+            return rows * (1j * np.arange(-(self.domain_dim // 2), self.domain_dim // 2 + 1))
         if self.kind == "dense":
             return rows @ self.matrix.T
         if self.kind == "composition":
@@ -104,41 +87,10 @@ class LinearOperator:
             return rows
         raise DomainError(f"unknown operator kind {self.kind!r}")
 
-    def _apply_fn(self, f):
-        if self.kind == "identity":
-            return f
-        if self.kind == "derivative":
-            return f.derivative()
-        if self.kind == "diagonal":
-            return PeriodicFunction(self.diag * f.fourier)
-        if self.kind == "dense":
-            return PeriodicFunction(self.matrix @ f.fourier)
-        if self.kind == "composition":
-            for op in reversed(self.factors):
-                f = op._apply_fn(f)
-            return f
-        raise DomainError(f"unknown operator kind {self.kind!r}")
-
     def materialize(self):
         """Dense matrix of the operator on the truncation."""
-        if self.kind == "dense":
-            return self.matrix.copy()
-        if self.kind == "composition":
-            out = self.factors[0].materialize()
-            for op in self.factors[1:]:
-                out = out @ op.materialize()
-            return out
-        if self.space == SEQ:
-            eye = np.eye(self.domain_dim)
-            return np.stack([self._apply_coords(eye[:, j]) for j in range(self.domain_dim)], axis=1)
-        if self.kind == "identity":
-            return np.eye(self.domain_dim, dtype=complex)
-        if self.kind == "derivative":
-            bandwidth = (self.domain_dim - 1) // 2
-            return np.diag(1j * np.arange(-bandwidth, bandwidth + 1).astype(complex))
-        if self.kind == "diagonal":
-            return np.diag(self.diag.astype(complex))
-        raise DomainError(f"cannot materialize kind {self.kind!r}")
+        eye = np.eye(self.domain_dim, dtype=float if self.space == SEQ else complex)
+        return self._apply_rows(eye).T.copy()
 
     def compose(self, other):
         if other.codomain_dim != self.domain_dim or other.space != self.space:
@@ -222,55 +174,36 @@ class ProbePlan:
     random_count: int = 200
     random_scales: tuple = tuple(float(t) for t in np.logspace(-3.0, 3.0, 8))
 
-    def seq_probes(self, depth):
-        for k in range(depth):
-            base = unit_sequence(depth, k)
-            for t in self.basis_scales:
-                yield f"e{k + 1}*{t:g}", base * t
+    def probe_rows(self, space, dim):
+        """Labels and coordinate rows of every probe in a model of dimension dim.
+
+        Sequences get scaled basis vectors, functions scaled sines and
+        cosines of every mode; seeded random directions follow.
+        """
+        if space == SEQ:
+            names = [f"e{k + 1}" for k in range(dim)]
+            bases = np.eye(dim)
+        else:
+            modes = [(name, mode) for mode in range(1, dim // 2 + 1) for name in ("sin", "cos")]
+            names = [f"{name}{mode}" for name, mode in modes]
+            bases = [harmonic(mode, bandwidth=dim // 2, cosine=name == "cos").fourier for name, mode in modes]
         rng = np.random.default_rng(self.seed)
-        for i in range(self.random_count):
-            base = random_sequence(rng, depth)
-            for s in self.random_scales:
-                yield f"rng{i}*{s:g}", base * s
+        directions = [
+            rng.normal(size=dim) if space == SEQ else random_function(rng, dim // 2).fourier
+            for _ in range(self.random_count)
+        ]
+        labels = [f"{name}*{t:g}" for name in names for t in self.basis_scales]
+        labels += [f"rng{i}*{s:g}" for i in range(self.random_count) for s in self.random_scales]
+        rows = np.concatenate(
+            [_scaled(bases, self.basis_scales, dim), _scaled(directions, self.random_scales, dim)]
+        )
+        return labels, rows
 
-    def seq_probe_rows(self, depth):
-        """All sequence probes as (labels, coordinate-row matrix)."""
-        labels = []
-        rows = []
-        for k in range(depth):
-            for t in self.basis_scales:
-                labels.append(f"e{k + 1}*{t:g}")
-                row = np.zeros(depth)
-                row[k] = t
-                rows.append(row)
-        rng = np.random.default_rng(self.seed)
-        for i in range(self.random_count):
-            base = rng.normal(size=depth)
-            for s in self.random_scales:
-                labels.append(f"rng{i}*{s:g}")
-                rows.append(base * s)
-        return labels, np.asarray(rows)
 
-    def fn_probes(self, bandwidth, random_count=None):
-        from .models import harmonic
-
-        for mode in range(1, bandwidth + 1):
-            for cosine in (False, True):
-                base = harmonic(mode, bandwidth=bandwidth, cosine=cosine)
-                for t in self.basis_scales:
-                    name = "cos" if cosine else "sin"
-                    yield f"{name}{mode}*{t:g}", base * t
-        rng = np.random.default_rng(self.seed)
-        for i in range(random_count if random_count is not None else self.random_count):
-            base = random_function(rng, bandwidth)
-            for s in self.random_scales:
-                yield f"rng{i}*{s:g}", base * s
-
-    def probes_for(self, op, cfg, random_count=None):
-        if op.space == SEQ:
-            return self.seq_probes(op.domain_dim)
-        bandwidth = (op.domain_dim - 1) // 2
-        return self.fn_probes(bandwidth, random_count=random_count)
+def _scaled(bases, scales, dim):
+    """Rows base * t, base by base and within each base scale by scale."""
+    bases = np.reshape(bases, (-1, 1, dim))
+    return (bases * np.asarray(scales)[:, None]).reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -292,17 +225,10 @@ class RBoundEstimate:
             )
 
 
-def _batch_norms(rows, cfg):
-    from .core import STANDARD, phi
-
-    ladders = np.cumsum(np.abs(rows), axis=1)[:, : cfg.truncation]
-    terms = cfg.level_weights * phi(ladders)
-    if cfg.flavor == STANDARD:
-        return np.sum(terms, axis=1)
-    return np.max(terms, axis=1)
+_LADDERS = {SEQ: sequence_ladders, FN: function_ladders}
 
 
-def rbound_estimate(op, cfg, radius=np.inf, plan=None, random_count=None):
+def rbound_estimate(op, cfg, radius=np.inf, plan=None):
     """Estimate the dilation bound of `op` over the punctured radius ball.
 
     The lower bound is the maximum metric ratio over the probe plan; the
@@ -314,42 +240,20 @@ def rbound_estimate(op, cfg, radius=np.inf, plan=None, random_count=None):
     if op.space == SEQ and cfg.truncation != op.domain_dim:
         raise ShapeError("config truncation must match the operator domain")
     cod_cfg = cfg if op.ladder_shift == 0 else cfg.with_truncation(cfg.truncation - op.ladder_shift)
-    if op.space == SEQ:
-        labels, rows = plan.seq_probe_rows(op.domain_dim)
-        norms = _batch_norms(rows, cfg)
-        inside = (norms > 0.0) & (norms < radius)
-        if not inside.any():
-            raise EmptyEstimateError("no probe fell inside the ball")
-        image_norms = _batch_norms(op._apply_rows(rows[inside]), cod_cfg)
-        ratios = image_norms / norms[inside]
-        best = int(np.argmax(ratios))
-        inside_labels = [lab for lab, keep in zip(labels, inside) if keep]
-        return RBoundEstimate(
-            radius=float(radius),
-            probe_count=int(inside.sum()),
-            witness=inside_labels[best],
-            lower_bound=float(ratios[best]),
-            analytic_upper=op.analytic_rbound(cfg),
-        )
-    best = -np.inf
-    witness = ""
-    count = 0
-    for label, v in plan.probes_for(op, cfg, random_count=random_count):
-        nv = element_norm(v, cfg)
-        if nv <= 0.0 or nv >= radius:
-            continue
-        count += 1
-        ratio = element_norm(op.apply(v), cod_cfg) / nv
-        if ratio > best:
-            best = ratio
-            witness = label
-    if count == 0:
+    ladders = _LADDERS[op.space]
+    labels, rows = plan.probe_rows(op.space, op.domain_dim)
+    norms = metric_rows(ladders(rows, cfg.truncation), cfg)
+    inside = (norms > 0.0) & (norms < radius)
+    if not inside.any():
         raise EmptyEstimateError("no probe fell inside the ball")
+    images = op._apply_rows(rows[inside])
+    ratios = metric_rows(ladders(images, cod_cfg.truncation), cod_cfg) / norms[inside]
+    best = int(np.argmax(ratios))
     return RBoundEstimate(
         radius=float(radius),
-        probe_count=count,
-        witness=witness,
-        lower_bound=float(best),
+        probe_count=int(inside.sum()),
+        witness=labels[int(np.flatnonzero(inside)[best])],
+        lower_bound=float(ratios[best]),
         analytic_upper=op.analytic_rbound(cfg),
     )
 

@@ -34,12 +34,6 @@ class SolveTrace:
     iterations: int
     converged: bool
 
-    def certified_error(self, n):
-        """A-priori distance bound rho^n / (1 - rho) * d(x0, x1) at iterate n."""
-        if self.step_distances.size == 0:
-            return 0.0
-        return float(self.rho**n / (1.0 - self.rho) * self.step_distances[0])
-
 
 @dataclass(frozen=True)
 class InverseCertificate:
@@ -52,7 +46,6 @@ class InverseCertificate:
     lower_lipschitz: float
     target_radius: float | None
     rho_source: str
-    metric_rescale: float
     valid: bool
 
 
@@ -209,7 +202,6 @@ def right_inverse_solve(
         lower_lipschitz=float((1.0 - rho) / operator_bound),
         target_radius=float(target_radius),
         rho_source=bound_source,
-        metric_rescale=1.0,
         valid=bool(valid),
     )
     solution, trace = banach_fixed_point(
@@ -271,7 +263,6 @@ def left_inverse_certificate(
         lower_lipschitz=float(lower),
         target_radius=None,
         rho_source=bound_source,
-        metric_rescale=1.0,
         valid=True,
     )
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gradedmetrics
 from gradedmetrics.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -44,11 +47,17 @@ class TestParsing:
             run("no-such-thing", ExperimentConfig(experiment="no-such-thing"))
 
 
-@pytest.mark.parametrize("experiment", FAST_EXPERIMENTS)
-def test_experiments_run_clean(experiment, tmp_path):
+@pytest.mark.parametrize(
+    ("experiment", "depth"),
+    [pytest.param(e, 12, id=e) for e in FAST_EXPERIMENTS]
+    # at depth 12 the down-shift is nilpotent and the series exact; at depth 64
+    # the series, cut for --tol, is 4.7e-10 away from the inverse
+    + [pytest.param("neumann-invert", 64, id="neumann-invert-depth64")],
+)
+def test_experiments_run_clean(experiment, depth, tmp_path):
     cfg = ExperimentConfig(
         experiment=experiment,
-        depth=12,
+        depth=depth,
         out=str(tmp_path),
         fmt="both",
     )
@@ -104,9 +113,14 @@ def test_main_runs_and_prints(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    # the subprocess does not inherit sys.path, so hand it the package location
+    package_root = str(Path(gradedmetrics.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gradedmetrics.cli", "fk-witness", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0

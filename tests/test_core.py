@@ -13,6 +13,7 @@ from gradedmetrics.core import (
     geometric_weights,
     graded_metric,
     line_profile,
+    metric_rows,
     phi,
     phi_inverse,
     piecewise_line_metric,
@@ -160,6 +161,24 @@ class TestMetricAxioms:
         c = random_ladder(rng, 6)
         for metric in (standard_metric, sup_metric):
             assert metric(a, b, cfg) <= metric(a, c, cfg) + metric(c, b, cfg) + 1e-12
+
+
+class TestMetricRows:
+    @pytest.mark.parametrize("flavor", [STANDARD, SUPREMUM])
+    def test_matches_per_ladder_metric(self, flavor):
+        rng = np.random.default_rng(31)
+        depth = 20
+        cfg = GradedMetricConfig(flavor, geometric_weights(0.5, depth), depth)
+        ladders = np.cumsum(np.abs(rng.normal(size=(6, 50, depth))) * 10.0 ** rng.uniform(-3, 3, (6, 50, 1)), axis=-1)
+        batched = metric_rows(ladders, cfg)
+        assert batched.shape == (6, 50)
+        for index in np.ndindex(6, 50):
+            expect = graded_metric(SeminormLadder(ladders[index]), None, cfg)
+            assert batched[index] == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+    def test_depth_guard(self):
+        with pytest.raises(ShapeError):
+            metric_rows(np.zeros((3, 5)), standard_config(4))
 
 
 class TestBallGeometry:

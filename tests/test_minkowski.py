@@ -5,6 +5,7 @@ from gradedmetrics.core import phi_inverse, standard_config, supremum_config
 from gradedmetrics.errors import DegenerateBallError, DomainError
 from gradedmetrics.minkowski import (
     ball_gauge,
+    ball_gauge_closed_form,
     dyadic_minkowski_family,
     essential_sup,
     gauge_certificate,
@@ -56,6 +57,15 @@ class TestFunctional:
                 expect = closed_form_gauge(CFG, 1.0 / i, v)
                 got = minkowski_functional(CFG, i, v, tol=1e-12)
                 assert got == pytest.approx(expect, rel=1e-9)
+                lad = v.ladder(DEPTH).values
+                closed = ball_gauge_closed_form(CFG.level_weights, lad, 1.0 / i)
+                assert closed == pytest.approx(expect, rel=1e-12)
+        # vectorized over radii, including radii at or above the essential sup
+        radii = np.array([0.7, 0.5, 1.0 / 3.0, 0.25, 1e-3])
+        gauges = ball_gauge_closed_form(CFG.level_weights, lad, radii)
+        assert gauges.shape == radii.shape
+        for r, g in zip(radii, gauges):
+            assert g == pytest.approx(closed_form_gauge(CFG, r, v), rel=1e-12, abs=0.0)
 
     def test_degenerate_ball(self):
         # radius 1/2 reaches the essential sup of any direction with mass at level 0

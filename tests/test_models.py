@@ -14,6 +14,7 @@ from gradedmetrics.models import (
     closed_form_curve,
     element_metric,
     element_norm,
+    function_ladders,
     harmonic,
     line_curve,
     make_fk,
@@ -119,6 +120,49 @@ class TestPeriodicFunction:
         lhs = (f * c).ladder(4).values
         rhs = abs(c) * f.ladder(4).values
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+
+
+def dense_level_norms(f, depth):
+    """Reference: sup norms of derivative orders 0..depth-1 by a dense basis product."""
+    k = np.arange(-f.bandwidth, f.bandwidth + 1)
+    size = 8 * max(f.bandwidth, 1)
+    x = 2.0 * np.pi * np.arange(size) / size
+    basis = np.exp(1j * np.outer(x, k))
+    coeffs = f.fourier.copy()
+    norms = np.empty(depth)
+    for i in range(depth):
+        norms[i] = np.max(np.abs(np.real(basis @ coeffs)))
+        coeffs = coeffs * (1j * k)
+    return norms
+
+
+class TestFFTLadder:
+    @pytest.mark.parametrize("bandwidth", [0, 1, 8, 64])
+    def test_level_norms_match_dense_basis(self, bandwidth):
+        rng = np.random.default_rng(40 + bandwidth)
+        for _ in range(5):
+            f = random_function(rng, bandwidth)
+            expect = dense_level_norms(f, 12)
+            assert np.allclose(f.level_norms(12), expect, rtol=1e-12, atol=0.0)
+            assert np.allclose(f.ladder(12).values, np.cumsum(expect), rtol=1e-12, atol=0.0)
+            assert f.sup_norm() == pytest.approx(expect[0], rel=1e-12, abs=0.0)
+
+    def test_batched_ladders_match_single_rows(self):
+        # 400 rows at B = 64 span several blocks of the working array
+        rng = np.random.default_rng(44)
+        rows = np.array([random_function(rng, 64).fourier for _ in range(400)])
+        batched = function_ladders(rows.reshape(20, 20, -1), 12).reshape(400, 12)
+        for row, ladder in zip(rows, batched):
+            assert np.allclose(ladder, PeriodicFunction(row).ladder(12).values, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("bandwidth", [1, 8, 64])
+    def test_coarse_grid_samples_exactly(self, bandwidth):
+        # a grid of fewer than 2B+1 points aliases modes; values stay exact
+        f = random_function(np.random.default_rng(50 + bandwidth), bandwidth)
+        for size in sorted({1, 2, 3, bandwidth, 2 * bandwidth, 8 * bandwidth}):
+            x, values = f.grid(size)
+            assert x.size == size
+            assert np.allclose(values, f(x), rtol=0.0, atol=1e-12 * np.sum(np.abs(f.fourier)))
 
 
 class TestMakeFk:

@@ -13,11 +13,15 @@ from gradedmetrics.models import (
     element_norm,
     harmonic,
     make_fk,
+    random_function,
     random_sequence,
     unit_sequence,
     zero_sequence,
 )
 from gradedmetrics.operators import (
+    FN,
+    SEQ,
+    LinearOperator,
     ProbePlan,
     composition_operator,
     dense_operator,
@@ -73,10 +77,41 @@ class TestApply:
             assert np.allclose(lhs.coords, rhs.coords, atol=1e-12)
 
     def test_structured_matches_dense(self):
+        # reference matrices written from each kind's definition, not from apply
         rng = np.random.default_rng(2)
-        v = random_sequence(rng, 8)
-        for op in (up_shift(8), up_shift(8, drop_level=False), down_shift(8)):
-            assert np.allclose(op.apply(v).coords, op.materialize() @ v.coords)
+        d, bw = 8, 3
+        k = np.arange(-bw, bw + 1)
+        fn_diag = np.cos(k) + 2.0  # even in k, so real functions stay real
+        diag = rng.normal(size=d)
+        dense_seq = rng.normal(size=(d, d))
+        dense_fn = np.diag(fn_diag) + 0.3 * np.eye(k.size)[::-1] + 0j  # c_k -> c_k d_k + 0.3 c_-k
+        cases = [
+            (identity_operator(d), np.eye(d)),
+            (up_shift(d), np.eye(d, k=1)[: d - 1]),
+            (up_shift(d, drop_level=False), np.eye(d, k=1)),
+            (down_shift(d), np.eye(d, k=-1)),
+            (diagonal_operator(diag), np.diag(diag)),
+            (dense_operator(dense_seq), dense_seq),
+            (down_shift(d).compose(diagonal_operator(diag)), np.eye(d, k=-1) @ np.diag(diag)),
+            (identity_operator(2 * bw + 1, space=FN), np.eye(2 * bw + 1)),
+            (derivative_operator(bw), np.diag(1j * k)),
+            (derivative_operator(bw, drop_level=False), np.diag(1j * k)),
+            (LinearOperator("diagonal", FN, k.size, k.size, diag=fn_diag), np.diag(fn_diag)),
+            (dense_operator(dense_fn, space=FN), dense_fn),
+            (
+                derivative_operator(bw).compose(LinearOperator("diagonal", FN, k.size, k.size, diag=fn_diag)),
+                np.diag(1j * k) @ np.diag(fn_diag),
+            ),
+        ]
+        for op, reference in cases:
+            assert np.allclose(op.materialize(), reference, rtol=0.0, atol=1e-14), op.kind
+            if op.space == SEQ:
+                v = random_sequence(rng, d)
+                assert np.allclose(op.apply(v).coords, reference @ v.coords, rtol=0.0, atol=1e-13)
+            else:
+                f = random_function(rng, bw)
+                assert np.allclose(op.apply(f).fourier, reference @ f.fourier, rtol=0.0, atol=1e-13)
+        assert np.array_equal(dense_operator(dense_seq).materialize(), dense_seq)
 
     def test_shape_guard(self):
         with pytest.raises(ShapeError):
@@ -133,6 +168,39 @@ class TestRBound:
         est_c = rbound_estimate(composed, CFG, plan=PLAN)
         assert est_c.lower_bound <= est_t.analytic_upper * est_d.analytic_upper + 1e-9
         assert est_c.lower_bound <= est_t.lower_bound * est_d.lower_bound * (1 + 1e-6) + 1e-9
+
+    @pytest.mark.parametrize("op", [derivative_operator(3), derivative_operator(8), up_shift(12)])
+    def test_batched_probes_match_per_probe_loop(self, op):
+        # reference: one model element per probe, normed one at a time
+        cfg = standard_config(12)
+        cod = cfg.with_truncation(12 - op.ladder_shift)
+        plan = ProbePlan(seed=5, random_count=50)
+        rng = np.random.default_rng(plan.seed)
+        if op.space == SEQ:
+            probes = [(f"e{j + 1}", unit_sequence(12, j)) for j in range(12)]
+            randoms = [random_sequence(rng, 12) for _ in range(plan.random_count)]
+        else:
+            bw = (op.domain_dim - 1) // 2
+            probes = [
+                (f"{name}{mode}", harmonic(mode, bandwidth=bw, cosine=name == "cos"))
+                for mode in range(1, bw + 1)
+                for name in ("sin", "cos")
+            ]
+            randoms = [random_function(rng, bw) for _ in range(plan.random_count)]
+        labelled = [(f"{name}*{t:g}", v * t) for name, v in probes for t in plan.basis_scales]
+        labelled += [(f"rng{i}*{s:g}", v * s) for i, v in enumerate(randoms) for s in plan.random_scales]
+        best, witness, count = -np.inf, None, 0
+        for label, v in labelled:
+            nv = element_norm(v, cfg)
+            if nv > 0.0:
+                count += 1
+                ratio = element_norm(op.apply(v), cod) / nv
+                if ratio > best:
+                    best, witness = ratio, label
+        est = rbound_estimate(op, cfg, plan=plan)
+        assert est.probe_count == count
+        assert est.witness == witness
+        assert est.lower_bound == pytest.approx(best, rel=0.0, abs=1e-12)
 
     def test_ball_constraint(self):
         with pytest.raises(EmptyEstimateError):
