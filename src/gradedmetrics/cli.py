@@ -361,7 +361,7 @@ def run_minkowski_tame(cfg_obj):
         for scale in (1e-2, 1.0, 1e2):
             probes.append((scale, base * scale))
     ladder_fam = lambda v: v.ladder(depth).values
-    mink_fam = lambda v: dyadic_minkowski_family(sup_cfg, v, tol=1e-10)
+    mink_fam = lambda v: dyadic_minkowski_family(sup_cfg, v)
     forward = tame_grade_estimate(ladder_fam, mink_fam, probes)
     backward = tame_grade_estimate(mink_fam, ladder_fam, probes)
     certificates = [

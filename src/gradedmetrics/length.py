@@ -93,14 +93,16 @@ def gromov_length(curve, cfg, tol=1e-6, max_level=24):
 
 
 def _velocity_gauge_term(velocity, cfg):
-    """Weighted modulus sum of the velocity's dyadic ball gauges.
+    """Weighted modulus sum of the velocity's ball gauges, sum_i w_i phi(g_i).
 
-    Uses the closed-form gauge over all radii at once; the minkowski
-    module's bisected functional agrees with it within its tolerance.
+    g_i is the gauge of the supremum ball of radius w_i, so the radii follow
+    the weights (at the default ratio 1/2 they are the dyadic radii
+    2**-(i+1)).  That this keeps the metric length at or below the smooth
+    length is checked on seeded curves at ratios 0.3, 0.5 and 0.8, not
+    proved.
     """
     weights = cfg.level_weights
-    radii = 2.0 ** -(np.arange(cfg.truncation) + 1.0)
-    gauges = ball_gauge_closed_form(weights, velocity.ladder(cfg.truncation).values, radii)
+    gauges = ball_gauge_closed_form(weights, velocity.ladder(cfg.truncation).values, weights)
     return float(np.sum(weights * phi(gauges)))
 
 

@@ -1,10 +1,13 @@
 """Minkowski functionals of supremum-metric balls and tame-grade estimates.
 
 The gauge of a convex ball recovers a seminorm from the metric; the
-supremum flavor is used because its balls are convex.  Gauges are found
-by monotone bisection on the ball-membership value; the bisection runs
-on a ladder normalized by its top entry, which makes positive
-homogeneity hold by construction up to the bisection tolerance.
+supremum flavor is used because its balls are convex.  The gauge of the
+radius-r ball at v is the root lam of max_k w_k * phi(p_k / lam) = r,
+p the ladder of v.  Each level with w_k > r pins lam at
+p_k * (1 - t_k) / t_k with t_k = r / w_k, and the root is the largest of
+these, so every gauge is read off in closed form, many radii at once.
+The closed form is linear in the ladder, which makes positive
+homogeneity hold up to rounding.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SUPREMUM, phi
+from .core import SUPREMUM
 from .errors import DegenerateBallError, DomainError
 from .models import element_norm
-
-_MAX_BISECT = 200
 
 
 def essential_sup(ladder_values, weights):
@@ -29,71 +30,44 @@ def essential_sup(ladder_values, weights):
     return float(np.max(np.asarray(weights)[mask]))
 
 
-def _sup_value(normalized, weights, lam):
-    return float(np.max(weights * phi(normalized / lam)))
+def _require_supremum(cfg):
+    if cfg.flavor != SUPREMUM:
+        raise DomainError("ball gauges require the supremum flavor (convex balls)")
 
 
-def _bisect_gauge(normalized, weights, target, tol):
-    """Solve max_k w_k * phi(u_k / lam) == target for lam, u normalized to max 1."""
-    hi = 1.0
-    while _sup_value(normalized, weights, hi) > target:
-        hi *= 2.0
-    lo = hi
-    while _sup_value(normalized, weights, lo) < target:
-        lo /= 2.0
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= 0.25 * tol * lo or hi - lo <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if _sup_value(normalized, weights, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def ball_gauge(cfg, radius, v, tol=1e-9, degenerate_zero=False):
+def ball_gauge(cfg, radius, v):
     """Gauge of the closed supremum-metric ball of the given radius.
 
     Returns the scale at which v enters the ball boundary.  When the
     radius reaches the essential sup of the direction, the whole ray lies
-    inside the ball; that case raises DegenerateBallError unless
-    `degenerate_zero` asks for the gauge's literal value 0.
+    inside the ball and DegenerateBallError is raised.
     """
-    if cfg.flavor != SUPREMUM:
-        raise DomainError("ball gauges require the supremum flavor (convex balls)")
-    if radius <= 0.0:
+    _require_supremum(cfg)
+    if not radius > 0.0:
         raise DomainError("radius must be positive")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
     lad = v.ladder(cfg.truncation).values
-    scale = float(lad[-1])
-    if scale == 0.0:
+    if lad[-1] == 0.0:
         return 0.0
     if radius >= essential_sup(lad, cfg.level_weights):
-        if degenerate_zero:
-            return 0.0
         raise DegenerateBallError(
             f"radius {radius} reaches the essential sup of this direction"
         )
-    normalized = lad / scale
-    return scale * _bisect_gauge(normalized, cfg.level_weights, radius, tol)
+    return ball_gauge_closed_form(cfg.level_weights, lad, radius)
 
 
-def minkowski_functional(cfg, i, v, tol=1e-9):
-    """Gauge seminorm of the radius-1/i supremum ball, by monotone bisection."""
+def minkowski_functional(cfg, i, v):
+    """Gauge seminorm of the radius-1/i supremum ball."""
     if i < 1:
         raise DomainError("ball index must be a positive integer")
-    return ball_gauge(cfg, 1.0 / float(i), v, tol=tol)
+    return ball_gauge(cfg, 1.0 / float(i), v)
 
 
 def ball_gauge_closed_form(weights, ladder_values, radius):
     """Analytic inversion of the gauge equation, vectorized over radii.
 
-    Agrees with the bisected gauge to within its tolerance; levels whose
-    weight does not exceed the radius cannot pin the gauge and drop out,
-    so a radius at or above the essential sup yields 0.  An array of radii
-    gives an array of gauges.
+    Levels whose weight does not exceed the radius cannot pin the gauge
+    and drop out, so a radius at or above the essential sup yields 0.  An
+    array of radii gives an array of gauges.
     """
     weights = np.asarray(weights)
     radii = np.asarray(radius, dtype=float)[..., None]
@@ -103,20 +77,17 @@ def ball_gauge_closed_form(weights, ladder_values, radius):
     return float(gauges) if gauges.ndim == 0 else gauges
 
 
-def dyadic_minkowski_family(cfg, v, depth=None, tol=1e-9, first_exponent=2):
-    """Gauges of the balls of radii 2**-i for i = first_exponent, ... .
+def dyadic_minkowski_family(cfg, v, depth=None):
+    """Gauges of the balls of radii 2**-i for i = 2, 3, ... .
 
     This is the seminorm family recovered from the metric alone; with the
     default geometric weights the first solvable exponent is 2.
     Degenerate levels report 0 (ray inside the ball).
     """
+    _require_supremum(cfg)
     depth = cfg.truncation if depth is None else depth
-    return np.array(
-        [
-            ball_gauge(cfg, 2.0 ** -(first_exponent + n), v, tol=tol, degenerate_zero=True)
-            for n in range(depth)
-        ]
-    )
+    radii = 2.0 ** -(2.0 + np.arange(depth))
+    return ball_gauge_closed_form(cfg.level_weights, v.ladder(cfg.truncation).values, radii)
 
 
 @dataclass(frozen=True)
@@ -204,9 +175,9 @@ def tame_grade_estimate(family_a, family_b, probes, max_grade=4, spread_threshol
     )
 
 
-def gauge_certificate(cfg, i, v, tol=1e-9):
-    """Value of the sup metric at v / gauge; should sit within tol of 1/i."""
-    lam = minkowski_functional(cfg, i, v, tol=tol)
+def gauge_certificate(cfg, i, v):
+    """Value of the sup metric at v / gauge; should equal 1/i up to rounding."""
+    lam = minkowski_functional(cfg, i, v)
     if lam == 0.0:
         return 0.0
     return element_norm(v * (1.0 / lam), cfg)

@@ -201,10 +201,6 @@ class PeriodicFunction:
         x = 2.0 * np.pi * np.arange(size) / size
         return x, _grid_values(self.fourier, size)
 
-    def __call__(self, x):
-        k = _mode_numbers(self.bandwidth)
-        return np.real(np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), k)) @ self.fourier)
-
     def derivative(self, order=1):
         k = _mode_numbers(self.bandwidth)
         return PeriodicFunction(self.fourier * (1j * k) ** order)

@@ -1,0 +1,58 @@
+"""Slow reference implementations, kept for the tests to hold the program against.
+
+- `bisected_gauge`: the program reads every ball gauge off the closed
+  form in `minkowski`; this solves max_k w_k * phi(p_k / lam) == r for
+  lam by monotone bisection instead.
+- `evaluate`: the program samples periodic functions by FFT on a grid;
+  this sums the Fourier modes at arbitrary points.
+"""
+
+import numpy as np
+
+from gradedmetrics.core import phi
+
+_MAX_BISECT = 200
+
+
+def _sup_value(normalized, weights, lam):
+    return float(np.max(weights * phi(normalized / lam)))
+
+
+def _bisect_gauge(normalized, weights, target, tol):
+    """Solve max_k w_k * phi(u_k / lam) == target for lam, u normalized to max 1."""
+    hi = 1.0
+    while _sup_value(normalized, weights, hi) > target:
+        hi *= 2.0
+    lo = hi
+    while _sup_value(normalized, weights, lo) < target:
+        lo /= 2.0
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= 0.25 * tol * lo or hi - lo <= 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if _sup_value(normalized, weights, mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisected_gauge(cfg, radius, v, tol=1e-12):
+    """Gauge of the supremum ball of the given radius at v, by bisection.
+
+    The bisection runs on the ladder normalized by its top entry.  A radius
+    at or above the largest weight on a nonzero ladder level gives 0: the
+    whole ray lies inside the ball.
+    """
+    lad = v.ladder(cfg.truncation).values
+    weights = cfg.level_weights
+    scale = float(lad[-1])
+    if scale == 0.0 or radius >= np.max(weights[lad > 0.0]):
+        return 0.0
+    return scale * _bisect_gauge(lad / scale, weights, radius, tol)
+
+
+def evaluate(f, x):
+    """Values of the periodic function f at the points x, summed mode by mode."""
+    k = np.arange(-f.bandwidth, f.bandwidth + 1)
+    return np.real(np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), k)) @ f.fourier)

@@ -48,16 +48,19 @@ class TestParsing:
 
 
 @pytest.mark.parametrize(
-    ("experiment", "depth"),
-    [pytest.param(e, 12, id=e) for e in FAST_EXPERIMENTS]
+    ("experiment", "depth", "weights"),
+    [pytest.param(e, 12, "geometric:0.5", id=e) for e in FAST_EXPERIMENTS]
     # at depth 12 the down-shift is nilpotent and the series exact; at depth 64
     # the series, cut for --tol, is 4.7e-10 away from the inverse
-    + [pytest.param("neumann-invert", 64, id="neumann-invert-depth64")],
+    + [pytest.param("neumann-invert", 64, "geometric:0.5", id="neumann-invert-depth64")]
+    # the metric length's gauge radii follow the weights, not 2**-(i+1)
+    + [pytest.param("lengths", 16, "geometric:0.8", id="lengths-depth16-geometric0.8")],
 )
-def test_experiments_run_clean(experiment, depth, tmp_path):
+def test_experiments_run_clean(experiment, depth, weights, tmp_path):
     cfg = ExperimentConfig(
         experiment=experiment,
         depth=depth,
+        weights=weights,
         out=str(tmp_path),
         fmt="both",
     )

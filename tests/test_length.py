@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import bisected_gauge
 
 from gradedmetrics.core import standard_config, standard_metric, supremum_config
 from gradedmetrics.errors import SingularVelocityError
@@ -103,42 +104,44 @@ class TestMetricLength:
         assert result.value == pytest.approx(expect, rel=1e-8)
 
     def test_below_smooth_length_on_seeded_curves(self):
-        rng = np.random.default_rng(1)
-        for i in range(60):
-            kind = i % 3
-            if kind == 0:
-                curve = line_curve(random_sequence(rng, DEPTH))
-            elif kind == 1:
-                curve = affine_curve(random_sequence(rng, DEPTH), random_sequence(rng, DEPTH))
-            else:
-                v = random_sequence(rng, DEPTH)
-                w = random_sequence(rng, DEPTH)
-                curve = closed_form_curve(
-                    lambda t, v=v, w=w: v * np.sin(0.5 * np.pi * t) + w * t,
-                    lambda t, v=v, w=w: v * (0.5 * np.pi * np.cos(0.5 * np.pi * t)) + w,
-                )
-            l_val = metric_length(curve, CFG, quadrature=64).value
-            big_l = smooth_length(curve, CFG, quadrature=64).value
-            assert l_val <= big_l + 1e-9
+        for ratio in (0.5, 0.3, 0.8):
+            cfg = standard_config(DEPTH, ratio)
+            rng = np.random.default_rng(1)
+            for i in range(60):
+                kind = i % 3
+                if kind == 0:
+                    curve = line_curve(random_sequence(rng, DEPTH))
+                elif kind == 1:
+                    curve = affine_curve(random_sequence(rng, DEPTH), random_sequence(rng, DEPTH))
+                else:
+                    v = random_sequence(rng, DEPTH)
+                    w = random_sequence(rng, DEPTH)
+                    curve = closed_form_curve(
+                        lambda t, v=v, w=w: v * np.sin(0.5 * np.pi * t) + w * t,
+                        lambda t, v=v, w=w: v * (0.5 * np.pi * np.cos(0.5 * np.pi * t)) + w,
+                    )
+                l_val = metric_length(curve, cfg, quadrature=64).value
+                big_l = smooth_length(curve, cfg, quadrature=64).value
+                assert l_val <= big_l + 1e-9
 
 
 def test_metric_length_integrand_matches_bisected_gauges():
-    # the vectorized integrand must agree with the minkowski module's
-    # bisection route at every level
+    # the closed-form integrand must agree with bisected gauges at every
+    # level, the radii following the weights (2**-(n+1) at ratio 1/2)
     from gradedmetrics.core import phi
     from gradedmetrics.length import _velocity_gauge_term
-    from gradedmetrics.minkowski import ball_gauge
 
-    sup_cfg = supremum_config(DEPTH)
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        v = random_sequence(rng, DEPTH)
-        expected = sum(
-            CFG.level_weights[n]
-            * phi(ball_gauge(sup_cfg, 2.0 ** -(n + 1), v, tol=1e-12, degenerate_zero=True))
-            for n in range(DEPTH)
-        )
-        assert _velocity_gauge_term(v, CFG) == pytest.approx(expected, rel=1e-9)
+    for ratio in (0.5, 0.8):
+        cfg = standard_config(DEPTH, ratio)
+        sup_cfg = supremum_config(DEPTH, ratio)
+        weights = cfg.level_weights
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            v = random_sequence(rng, DEPTH)
+            expected = sum(
+                weights[n] * phi(bisected_gauge(sup_cfg, weights[n], v)) for n in range(DEPTH)
+            )
+            assert _velocity_gauge_term(v, cfg) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSmoothLength:

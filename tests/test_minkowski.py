@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import bisected_gauge
 
 from gradedmetrics.core import phi_inverse, standard_config, supremum_config
 from gradedmetrics.errors import DegenerateBallError, DomainError
@@ -55,7 +56,7 @@ class TestFunctional:
             for _ in range(20):
                 v = random_sequence(rng, DEPTH)
                 expect = closed_form_gauge(CFG, 1.0 / i, v)
-                got = minkowski_functional(CFG, i, v, tol=1e-12)
+                got = minkowski_functional(CFG, i, v)
                 assert got == pytest.approx(expect, rel=1e-9)
                 lad = v.ladder(DEPTH).values
                 closed = ball_gauge_closed_form(CFG.level_weights, lad, 1.0 / i)
@@ -66,6 +67,22 @@ class TestFunctional:
         assert gauges.shape == radii.shape
         for r, g in zip(radii, gauges):
             assert g == pytest.approx(closed_form_gauge(CFG, r, v), rel=1e-12, abs=0.0)
+        # ball_gauge and the dyadic family against the bisection oracle
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            v = random_sequence(rng, DEPTH)
+            for r in rng.uniform(0.02, 0.45, size=5):
+                assert ball_gauge(CFG, r, v) == pytest.approx(bisected_gauge(CFG, r, v), rel=1e-9)
+        for v in (random_sequence(rng, DEPTH), unit_sequence(DEPTH, 0), unit_sequence(DEPTH, 3)):
+            fam = dyadic_minkowski_family(CFG, v)
+            for n, g in enumerate(fam):
+                assert g == pytest.approx(bisected_gauge(CFG, 2.0 ** -(2 + n), v), rel=1e-9)
+
+    def test_nan_radius_rejected(self):
+        v = unit_sequence(DEPTH, 0)
+        for radius in (float("nan"), 0.0, -0.25):
+            with pytest.raises(DomainError):
+                ball_gauge(CFG, radius, v)
 
     def test_degenerate_ball(self):
         # radius 1/2 reaches the essential sup of any direction with mass at level 0
@@ -100,8 +117,8 @@ class TestGaugeProperties:
         for _ in range(100):
             v = random_sequence(rng, DEPTH)
             c = float(rng.uniform(0.1, 10.0))
-            m1 = minkowski_functional(CFG, 4, v, tol=1e-11)
-            m2 = minkowski_functional(CFG, 4, v * c, tol=1e-11)
+            m1 = minkowski_functional(CFG, 4, v)
+            m2 = minkowski_functional(CFG, 4, v * c)
             assert m2 == pytest.approx(c * m1, rel=1e-9)
 
     def test_monotone_in_ball_index(self):
@@ -115,7 +132,7 @@ class TestGaugeProperties:
         rng = np.random.default_rng(24)
         for _ in range(50):
             v = random_sequence(rng, DEPTH)
-            value = gauge_certificate(CFG, 5, v, tol=1e-9)
+            value = gauge_certificate(CFG, 5, v)
             assert abs(value - 0.2) <= 1e-9
 
 
@@ -153,7 +170,7 @@ class TestTameEstimate:
         rng = np.random.default_rng(32)
         probes = scaled_probe_set(rng, DEPTH, count=25)
         ladder_fam = lambda v: v.ladder(DEPTH).values
-        mink_fam = lambda v: dyadic_minkowski_family(CFG, v, tol=1e-10)
+        mink_fam = lambda v: dyadic_minkowski_family(CFG, v)
         forward = tame_grade_estimate(ladder_fam, mink_fam, probes)
         backward = tame_grade_estimate(mink_fam, ladder_fam, probes)
         assert forward.satisfied
