@@ -22,17 +22,17 @@ import numpy as np
 from . import __version__
 from .core import (
     STANDARD,
+    SUPREMUM,
     GradedMetricConfig,
     SeminormLadder,
     WeightSequence,
     comparability_check,
     geometric_weights,
     graded_metric,
+    metric_rows,
     piecewise_line_metric,
     standard_ball_nonconvexity_witness,
-    standard_config,
     supremum_config,
-    sup_metric,
 )
 from .errors import ContractionError, DomainError
 from .length import gromov_length, metric_length, smooth_length
@@ -46,6 +46,7 @@ from .models import (
     line_curve,
     make_fk,
     random_sequence,
+    sequence_ladders,
     unit_sequence,
     zero_sequence,
 )
@@ -233,8 +234,7 @@ def run_fk_witness(cfg_obj):
 
 
 def run_composition_probe(cfg_obj):
-    depth = min(cfg_obj.depth, 6)
-    metric_cfg = standard_config(depth)
+    metric_cfg = _config(cfg_obj).with_truncation(min(cfg_obj.depth, 6))
     ratios = []
     rows = []
     base_bw = max(cfg_obj.bandwidth, 4)
@@ -352,6 +352,9 @@ def run_ift_solve(cfg_obj):
 
 def run_minkowski_tame(cfg_obj):
     depth = min(cfg_obj.depth, 12)
+    if parse_weights(cfg_obj.weights, depth)[1] != 0.5:
+        # the dyadic radii 2**-(2+n) and m4(e1) == 1 belong to ratio 1/2
+        raise DomainError("minkowski-tame needs --weights geometric:0.5")
     sup_cfg = supremum_config(depth)
     rng = np.random.default_rng(cfg_obj.seed)
     m4 = minkowski_functional(sup_cfg, 4, unit_sequence(depth, 0))
@@ -441,17 +444,13 @@ def run_lengths(cfg_obj):
 
 def run_ball_geometry(cfg_obj):
     depth = cfg_obj.depth
-    sup_cfg = supremum_config(depth)
-    std_cfg = standard_config(depth)
+    std_cfg = _config(cfg_obj)
+    sup_cfg = GradedMetricConfig(SUPREMUM, std_cfg.weights, depth)
     rng = np.random.default_rng(cfg_obj.seed)
-    convex_ok = True
-    for _ in range(200):
-        u = rng.normal(size=depth)
-        v = rng.normal(size=depth)
-        du = sup_metric(SeminormLadder(np.cumsum(np.abs(u))), None, sup_cfg)
-        dv = sup_metric(SeminormLadder(np.cumsum(np.abs(v))), None, sup_cfg)
-        dm = sup_metric(SeminormLadder(np.cumsum(np.abs((u + v) / 2))), None, sup_cfg)
-        convex_ok &= dm <= max(du, dv)
+    draws = rng.normal(size=(200, 2, depth))  # 200 (u, v) pairs, u drawn before v in each
+    u, v = draws[:, 0], draws[:, 1]
+    du, dv, dm = metric_rows(sequence_ladders(np.stack([u, v, (u + v) / 2]), depth), sup_cfg)
+    convex_ok = np.all(dm <= np.maximum(du, dv))
     witness = standard_ball_nonconvexity_witness(std_cfg)
     line_ball = {
         "distance_to_2": piecewise_line_metric(0.0, 2.0),

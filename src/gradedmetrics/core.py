@@ -57,6 +57,23 @@ def _frozen_array(values, dtype=float):
     return arr
 
 
+def _derived(cls, field, values):
+    """Instance of a value type around an array derived from valid values.
+
+    Sums, scalar multiples and partial sums of finite values keep every
+    invariant the public constructor checks except finiteness, which
+    overflow breaks; that is the one check made here.  `values` must be
+    an array the caller has just computed: it is frozen in place, not
+    copied, and `__init__` is skipped.
+    """
+    if not np.isfinite(values).all():
+        raise DomainError(f"{cls.__name__} {field} must be finite")
+    values.flags.writeable = False
+    obj = object.__new__(cls)
+    object.__setattr__(obj, field, values)
+    return obj
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """Positive, non-increasing level weights; one weight per ladder level."""

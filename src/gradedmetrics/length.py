@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import STANDARD, graded_metric, metric_rows, phi
-from .errors import DomainError, SingularVelocityError
+from .errors import SingularVelocityError
 from .minkowski import ball_gauge_closed_form
 from .models import CurveSpec, element_metric, sequence_ladders
 
@@ -131,10 +131,7 @@ def metric_length(curve, cfg, quadrature=32, tol=1e-9):
     """Time integral of the weighted modulus of the velocity's ball gauges."""
 
     def integrand(t):
-        velocity = curve.velocity(t)
-        if not np.all(np.isfinite(_raw_values(velocity))):
-            raise DomainError(f"velocity undefined at t={t}")
-        return _velocity_gauge_term(velocity, cfg)
+        return _velocity_gauge_term(curve.velocity(t), cfg)
 
     value, nodes = _refined_quadrature(integrand, curve.domain, quadrature, tol)
     return LengthResult(
@@ -142,18 +139,11 @@ def metric_length(curve, cfg, quadrature=32, tol=1e-9):
     )
 
 
-def _raw_values(point):
-    return point.coords if hasattr(point, "coords") else point.fourier
-
-
 def smooth_length(curve, cfg, quadrature=32, tol=1e-10):
     """Weighted modulus of the time integrals of the velocity ladder."""
 
     def integrand(t):
-        velocity = curve.velocity(t)
-        if not np.all(np.isfinite(_raw_values(velocity))):
-            raise DomainError(f"velocity undefined at t={t}")
-        return velocity.ladder(cfg.truncation).values
+        return curve.velocity(t).ladder(cfg.truncation).values
 
     integrals, nodes = _refined_quadrature(integrand, curve.domain, quadrature, tol)
     value = float(np.sum(cfg.level_weights * phi(np.maximum(integrals, 0.0))))

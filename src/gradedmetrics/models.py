@@ -6,6 +6,12 @@ functions on the circle, whose ladder collects partial sums of sup norms
 of successive spectral derivatives.  Both are immutable value types with
 exact vector arithmetic, so metric identities hold exactly at finite
 depth instead of up to a tail estimate.
+
+Construction validates: the public constructors check shape, finiteness
+and (for functions) realness of whatever they are given.  Values derived
+from valid ones (sums, differences, real multiples, negations, ladders)
+are wrapped by `core._derived`, which checks only finiteness, the one
+invariant overflow can break.
 """
 
 from __future__ import annotations
@@ -15,16 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SeminormLadder, graded_metric
+from .core import SeminormLadder, _derived, _frozen_array, graded_metric
 from .errors import DomainError, ShapeError
 
 _GRID_FACTOR = 8  # sup norms are taken on a grid this many times the bandwidth
-
-
-def _frozen(arr):
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class TruncatedSequence:
             raise ShapeError("coords must form a non-empty 1-d array")
         if not np.all(np.isfinite(vals)):
             raise DomainError("coords must be finite")
-        object.__setattr__(self, "coords", _frozen(vals))
+        object.__setattr__(self, "coords", _frozen_array(vals))
 
     @property
     def depth(self):
@@ -53,30 +53,30 @@ class TruncatedSequence:
 
     def __add__(self, other):
         self._check_same(other)
-        return TruncatedSequence(self.coords + other.coords)
+        return _derived(TruncatedSequence, "coords", self.coords + other.coords)
 
     def __sub__(self, other):
         self._check_same(other)
-        return TruncatedSequence(self.coords - other.coords)
+        return _derived(TruncatedSequence, "coords", self.coords - other.coords)
 
     def __mul__(self, scalar):
-        return TruncatedSequence(self.coords * float(scalar))
+        return _derived(TruncatedSequence, "coords", self.coords * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return TruncatedSequence(-self.coords)
+        return _derived(TruncatedSequence, "coords", -self.coords)
 
     def level_norms(self, depth=None):
         """Per-level seminorms |coords[k]| (the ladder increments)."""
         depth = self.depth if depth is None else depth
-        if depth > self.depth:
-            raise ShapeError(f"depth {depth} exceeds truncation {self.depth}")
+        if not 1 <= depth <= self.depth:
+            raise ShapeError(f"depth {depth} outside 1..{self.depth}")
         return np.abs(self.coords[:depth])
 
     def ladder(self, depth=None):
         """Partial sums of coordinate magnitudes up to the requested depth."""
-        return SeminormLadder(np.cumsum(self.level_norms(depth)))
+        return _derived(SeminormLadder, "values", np.cumsum(self.level_norms(depth)))
 
     def sup_coordinate_norm(self):
         return float(np.max(np.abs(self.coords)))
@@ -136,6 +136,8 @@ def _derivative_sups(rows, depth):
     One inverse FFT covers all orders of a block of rows; blocks keep the
     (rows, depth, grid) working array below _FFT_BLOCK entries.
     """
+    if depth < 1:
+        raise ShapeError(f"depth {depth} must be at least 1")
     n = rows.shape[-1]
     size = _GRID_FACTOR * max((n - 1) // 2, 1)
     powers = np.empty((depth, n), dtype=complex)
@@ -166,8 +168,9 @@ class PeriodicFunction:
         mirrored = np.conj(vals[::-1])
         if not np.allclose(vals, mirrored, rtol=0.0, atol=1e-12):
             raise DomainError("realness requires c[-k] == conj(c[k])")
-        # symmetrize so the realness constraint holds exactly from here on
-        object.__setattr__(self, "fourier", _frozen((vals + mirrored) / 2.0))
+        # symmetrize so the realness constraint holds exactly from here on;
+        # halving before adding keeps coefficients near the float limit finite
+        object.__setattr__(self, "fourier", _frozen_array(vals / 2.0 + mirrored / 2.0, complex))
 
     @property
     def bandwidth(self):
@@ -179,21 +182,23 @@ class PeriodicFunction:
         if other.bandwidth != self.bandwidth:
             raise ShapeError(f"bandwidth mismatch {self.bandwidth} vs {other.bandwidth}")
 
+    # sums, differences, real multiples and negations of exactly
+    # conjugate-symmetric modes stay exactly symmetric
     def __add__(self, other):
         self._check_same(other)
-        return PeriodicFunction(self.fourier + other.fourier)
+        return _derived(PeriodicFunction, "fourier", self.fourier + other.fourier)
 
     def __sub__(self, other):
         self._check_same(other)
-        return PeriodicFunction(self.fourier - other.fourier)
+        return _derived(PeriodicFunction, "fourier", self.fourier - other.fourier)
 
     def __mul__(self, scalar):
-        return PeriodicFunction(self.fourier * float(scalar))
+        return _derived(PeriodicFunction, "fourier", self.fourier * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return PeriodicFunction(-self.fourier)
+        return _derived(PeriodicFunction, "fourier", -self.fourier)
 
     def grid(self, size=None):
         """Sample points and values on a uniform grid (default 8x bandwidth)."""
@@ -221,7 +226,7 @@ class PeriodicFunction:
 
     def ladder(self, depth):
         """Partial sums of derivative sup norms up to the requested depth."""
-        return SeminormLadder(function_ladders(self.fourier, depth))
+        return _derived(SeminormLadder, "values", function_ladders(self.fourier, depth))
 
     def sup_coordinate_norm(self):
         return self.sup_norm()

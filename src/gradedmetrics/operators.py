@@ -280,8 +280,7 @@ def neumann_invert(op, cfg, radius=np.inf, tol=1e-10, max_terms=64, rho=None, pl
     if op.domain_dim != op.codomain_dim or op.ladder_shift != 0:
         raise ShapeError("series inversion needs an endomorphism")
     a = op.materialize()
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    gap = dense_operator(eye - a, space=op.space)
+    gap = dense_operator(np.eye(a.shape[0], dtype=a.dtype) - a, space=op.space)
     if rho is None:
         rho = rbound_estimate(gap, cfg, radius=radius, plan=plan).lower_bound
     if rho >= 1.0:
@@ -291,12 +290,12 @@ def neumann_invert(op, cfg, radius=np.inf, tol=1e-10, max_terms=64, rho=None, pl
     else:
         terms = int(np.ceil(np.log(tol * (1.0 - rho)) / np.log(rho))) - 1
         terms = max(terms, 0)
+    for total in _series_sums(gap.matrix, min(terms, max_terms)):
+        pass  # only the last partial sum is kept
     if terms > max_terms:
         raise ConvergenceError(
-            f"need {terms} terms for tolerance {tol}, budget is {max_terms}",
-            partial=_partial_sum(eye, eye - a, max_terms),
+            f"need {terms} terms for tolerance {tol}, budget is {max_terms}", partial=total
         )
-    total = _partial_sum(eye, eye - a, terms)
     return NeumannResult(
         operator=dense_operator(total, space=op.space),
         rho=float(rho),
@@ -306,26 +305,21 @@ def neumann_invert(op, cfg, radius=np.inf, tol=1e-10, max_terms=64, rho=None, pl
     )
 
 
-def _partial_sum(eye, gap, terms):
-    total = eye.copy()
-    power = eye.copy()
+def _series_sums(gap, terms):
+    """Yield the partial sums S_0..S_terms of sum_i gap^i, each a new array."""
+    power = np.eye(gap.shape[0], dtype=gap.dtype)
+    total = power.copy()
+    yield total
     for _ in range(terms):
         power = power @ gap
         total = total + power
-    return total
+        yield total
 
 
 def neumann_partial_sums(op, terms):
     """Partial sums S_0..S_terms of the inversion series, as matrices."""
     a = op.materialize()
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    gap = eye - a
-    sums = [eye.copy()]
-    power = eye.copy()
-    for _ in range(terms):
-        power = power @ gap
-        sums.append(sums[-1] + power)
-    return sums
+    return list(_series_sums(np.eye(a.shape[0], dtype=a.dtype) - a, terms))
 
 
 def perturbed_invert_bound(ainv_bound, gap):

@@ -54,7 +54,8 @@ class TestParsing:
     # the series, cut for --tol, is 4.7e-10 away from the inverse
     + [pytest.param("neumann-invert", 64, "geometric:0.5", id="neumann-invert-depth64")]
     # the metric length's gauge radii follow the weights, not 2**-(i+1)
-    + [pytest.param("lengths", 16, "geometric:0.8", id="lengths-depth16-geometric0.8")],
+    + [pytest.param("lengths", 16, "geometric:0.8", id="lengths-depth16-geometric0.8")]
+    + [pytest.param("ball-geometry", 12, "geometric:0.8", id="ball-geometry-geometric0.8")],
 )
 def test_experiments_run_clean(experiment, depth, weights, tmp_path):
     cfg = ExperimentConfig(
@@ -106,6 +107,22 @@ def test_failed_certificate_exits_2(tmp_path):
 
 def test_main_unknown_experiment_exits_3():
     assert main(["definitely-not-real"]) == 3
+
+
+def test_ball_geometry_follows_weights(tmp_path):
+    radii = []
+    for weights in ("geometric:0.5", "geometric:0.8"):
+        cfg = ExperimentConfig(experiment="ball-geometry", depth=12, weights=weights, out=str(tmp_path))
+        assert run("ball-geometry", cfg)[1] == 0
+        report = json.loads((tmp_path / "ball-geometry.json").read_text())
+        radii.append(report["results"]["nonconvexity"]["radius"])
+    assert radii[0] != radii[1]
+
+
+def test_minkowski_tame_rejects_other_weights(tmp_path, capsys):
+    # its dyadic radii and m4(e1) == 1 certificate belong to ratio 1/2
+    assert main(["minkowski-tame", "--weights", "geometric:0.8", "--out", str(tmp_path)]) == 3
+    assert "geometric:0.5" in capsys.readouterr().err
 
 
 def test_main_runs_and_prints(tmp_path, capsys):

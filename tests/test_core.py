@@ -86,6 +86,21 @@ class TestWeights:
             WeightSequence(np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize(
+    ("values", "error"),
+    [
+        pytest.param([1.0, np.nan], DomainError, id="nan"),
+        pytest.param([-1.0, 0.0], DomainError, id="negative"),
+        pytest.param([2.0, 1.0], DomainError, id="decreasing"),
+        pytest.param([], ShapeError, id="empty"),
+        pytest.param([[1.0, 2.0]], ShapeError, id="2d"),
+    ],
+)
+def test_ladder_construction_rejects(values, error):
+    with pytest.raises(error):
+        SeminormLadder(np.asarray(values, dtype=float))
+
+
 class TestStandardMetric:
     def test_geometric_series_limit(self):
         # flat unit ladder: sum of 2^-n * phi(1) tends to 0.5

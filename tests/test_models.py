@@ -100,12 +100,16 @@ class TestPeriodicFunction:
         assert np.allclose(evaluate(f.derivative(), x), expect, atol=1e-10)
 
     def test_realness_preserved_by_arithmetic(self):
-        rng = np.random.default_rng(0)
-        f = random_function(rng, 6)
-        g = random_function(rng, 6)
-        for h in (f + g, f - g, 2.5 * f, -f, f.derivative()):
-            sym = np.conj(h.fourier[::-1])
-            assert np.array_equal(h.fourier, sym)
+        # derived functions skip the constructor's symmetrization, so the
+        # arithmetic itself must keep the modes exactly conjugate-symmetric
+        for seed, bandwidth in ((0, 6), (1, 1), (2, 17), (3, 64)):
+            rng = np.random.default_rng(seed)
+            f = random_function(rng, bandwidth)
+            g = random_function(rng, bandwidth, scale=1e3)
+            derived = (f + g, f - g, 2.5 * f, f * -0.1, -f, f.derivative(), (f - g) * 3.0 + -g)
+            for h in derived:
+                sym = np.conj(h.fourier[::-1])
+                assert np.array_equal(h.fourier, sym)
 
     def test_realness_validated(self):
         bad = np.zeros(3, dtype=complex)
@@ -121,6 +125,98 @@ class TestPeriodicFunction:
         lhs = (f * c).ladder(4).values
         rhs = abs(c) * f.ladder(4).values
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+
+
+def big_sequence():
+    return TruncatedSequence(np.array([1e308]))
+
+
+def big_function():
+    return PeriodicFunction(np.array([1e308 + 0j]))
+
+
+class TestValidation:
+    """Public constructors check everything; derived values check finiteness.
+
+    NaN coordinates and non-real modes are rejected in `test_rejects_nan`
+    and `test_realness_validated`.
+    """
+
+    @pytest.mark.parametrize(
+        ("coords", "error"),
+        [
+            pytest.param([np.inf, 1.0], DomainError, id="inf"),
+            pytest.param([], ShapeError, id="empty"),
+            pytest.param([[1.0, 2.0]], ShapeError, id="2d"),
+        ],
+    )
+    def test_sequence_construction_rejects(self, coords, error):
+        with pytest.raises(error):
+            TruncatedSequence(np.asarray(coords, dtype=float))
+
+    @pytest.mark.parametrize(
+        ("fourier", "error"),
+        [
+            pytest.param([0.0, 1.0], ShapeError, id="even-length"),
+            pytest.param([np.nan, 0.0, np.nan], DomainError, id="nan"),
+        ],
+    )
+    def test_function_construction_rejects(self, fourier, error):
+        with pytest.raises(error):
+            PeriodicFunction(np.asarray(fourier, dtype=complex))
+
+    def test_large_coefficients_construct_finite(self):
+        assert np.array_equal(big_function().fourier, [1e308 + 0j])
+
+    @pytest.mark.parametrize(
+        "overflow",
+        [
+            pytest.param(lambda: big_sequence() * 10, id="seq-scale"),
+            pytest.param(lambda: big_sequence() + big_sequence(), id="seq-sum"),
+            pytest.param(lambda: big_sequence() - -big_sequence(), id="seq-difference"),
+            pytest.param(lambda: TruncatedSequence(np.array([1e308, 1e308])).ladder(2), id="seq-ladder"),
+            pytest.param(lambda: big_function() * 10, id="fn-scale"),
+            pytest.param(lambda: big_function() + big_function(), id="fn-sum"),
+            pytest.param(lambda: big_function() - -big_function(), id="fn-difference"),
+            # cos x at amplitude 1.5e308: both level norms are finite, their sum is not
+            pytest.param(
+                lambda: PeriodicFunction(np.array([0.75e308, 0.0, 0.75e308], dtype=complex)).ladder(2),
+                id="fn-ladder",
+            ),
+        ],
+    )
+    def test_overflow_raises(self, overflow):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+            overflow()
+
+    def test_derived_arrays_are_fresh_and_read_only(self):
+        rng = np.random.default_rng(60)
+        for u, v, field in (
+            (TruncatedSequence(rng.normal(size=5)), TruncatedSequence(rng.normal(size=5)), "coords"),
+            (random_function(rng, 3), random_function(rng, 3), "fourier"),
+        ):
+            operands = (getattr(u, field), getattr(v, field))
+            derived = [getattr(w, field) for w in (u + v, u - v, u * 2.0, 2.0 * u, u * 1.0, -u)]
+            derived.append(u.ladder(4).values)
+            for arr in derived:
+                assert not arr.flags.writeable
+                assert not any(np.shares_memory(arr, op) for op in operands)
+
+    @pytest.mark.parametrize("depth", [0, -1, 6])
+    def test_sequence_depth_outside_range(self, depth):
+        v = TruncatedSequence(np.arange(1.0, 6.0))
+        with pytest.raises(ShapeError):
+            v.ladder(depth)
+        with pytest.raises(ShapeError):
+            v.level_norms(depth)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_function_depth_below_one(self, depth):
+        f = harmonic(2)
+        with pytest.raises(ShapeError):
+            f.ladder(depth)
+        with pytest.raises(ShapeError):
+            f.level_norms(depth)
 
 
 def dense_level_norms(f, depth):
