@@ -67,13 +67,13 @@ def ball_gauge_closed_form(weights, ladder_values, radius):
 
     Levels whose weight does not exceed the radius cannot pin the gauge
     and drop out, so a radius at or above the essential sup yields 0.  An
-    array of radii gives an array of gauges.
+    array of radii gives an array of gauges.  A dropped level gets t = 1 and
+    so the candidate 0: its r / w_k could overflow at large depth.
     """
     weights = np.asarray(weights)
     radii = np.asarray(radius, dtype=float)[..., None]
-    targets = radii / weights
-    candidates = np.where(weights > radii, np.asarray(ladder_values) * (1.0 - targets) / targets, 0.0)
-    gauges = np.max(candidates, axis=-1)
+    targets = np.where(weights > radii, radii, weights) / weights
+    gauges = np.max(np.asarray(ladder_values) * (1.0 - targets) / targets, axis=-1)
     return float(gauges) if gauges.ndim == 0 else gauges
 
 

@@ -109,6 +109,31 @@ def function_ladders(rows, depth):
     return np.cumsum(_derivative_sups(rows, depth), axis=-1)
 
 
+def _element_rows(elements):
+    """Stacked rows of elements of one model: coords, or Fourier modes for functions."""
+    kind = type(elements[0])
+    if any(type(e) is not kind for e in elements):
+        raise ShapeError("mixed graded models in one batch")
+    return np.stack([e.fourier if kind is PeriodicFunction else e.coords for e in elements])
+
+
+def _checked_ladders(rows, depth):
+    """Batched ladders of model rows (complex rows are Fourier modes), checked like
+    `.ladder(depth)`: finite, and a sequence depth in 1..N, which `sequence_ladders` skips."""
+    fourier = np.iscomplexobj(rows)
+    if not (fourier or 1 <= depth <= rows.shape[-1]):
+        raise ShapeError(f"depth {depth} outside 1..{rows.shape[-1]}")
+    ladders = (function_ladders if fourier else sequence_ladders)(rows, depth)
+    if not np.isfinite(ladders).all():
+        raise DomainError("SeminormLadder values must be finite")
+    return ladders
+
+
+def element_ladders(elements, depth):
+    """Ladders (len(elements), depth) of elements of one model, in one batched pass."""
+    return _checked_ladders(_element_rows(elements), depth)
+
+
 _FFT_BLOCK = 1 << 20  # complex entries of the largest grid array built at once
 
 

@@ -5,11 +5,15 @@
   lam by monotone bisection instead.
 - `evaluate`: the program samples periodic functions by FFT on a grid;
   this sums the Fourier modes at arbitrary points.
+- `refined_quadrature` and `chord_sum`: the program evaluates each node
+  and dyadic point once and works on rows; these evaluate every node of
+  every round and every point of every level afresh, one at a time.
 """
 
 import numpy as np
 
-from gradedmetrics.core import phi
+from gradedmetrics.core import graded_metric, metric_rows, phi
+from gradedmetrics.models import element_metric, sequence_ladders
 
 _MAX_BISECT = 200
 
@@ -56,3 +60,38 @@ def evaluate(f, x):
     """Values of the periodic function f at the points x, summed mode by mode."""
     k = np.arange(-f.bandwidth, f.bandwidth + 1)
     return np.real(np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), k)) @ f.fourier)
+
+
+def refined_quadrature(integrand, domain, nodes, tol, max_rounds=6):
+    """Composite Simpson refinement; integrand(t) gives a value or a vector."""
+    a, b = domain
+    n = max(2, nodes)
+    if n % 2:
+        n += 1
+    prev = None
+    for _ in range(max_rounds):
+        ts = np.linspace(a, b, n + 1)
+        values = np.asarray([integrand(t) for t in ts])
+        weights = np.ones(n + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        est = (b - a) / (3.0 * n) * np.tensordot(weights, values, axes=1)
+        if prev is not None and np.max(np.abs(est - prev)) <= tol * (1.0 + np.max(np.abs(est))):
+            return est, n
+        prev = est
+        n *= 2
+    return prev, n // 2
+
+
+def chord_sum(curve, cfg, level):
+    """Sum of the chord metrics over the 2**level dyadic pieces of the domain."""
+    a, b = curve.domain
+    pieces = 2**level
+    if curve.kind in ("line", "affine"):
+        step = curve.position(a + (b - a) / pieces) - curve.position(a)
+        return pieces * graded_metric(step.ladder(cfg.truncation), None, cfg)
+    points = [curve.position(t) for t in np.linspace(a, b, pieces + 1)]
+    if all(hasattr(p, "coords") for p in points):
+        chords = np.diff(np.stack([p.coords for p in points]), axis=0)
+        return float(np.sum(metric_rows(sequence_ladders(chords, cfg.truncation), cfg)))
+    return float(sum(element_metric(points[i + 1], points[i], cfg) for i in range(pieces)))
