@@ -56,6 +56,7 @@ from .operators import (
     neumann_invert,
     perturbed_invert_bound,
     rbound_estimate,
+    rbound_estimates,
     unboundedness_probe,
     up_shift,
 )

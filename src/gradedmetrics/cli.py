@@ -60,7 +60,7 @@ from .operators import (
     neumann_partial_sums,
     oscillating_composition,
     peak_function,
-    rbound_estimate,
+    rbound_estimates,
     unboundedness_probe,
     up_shift,
 )
@@ -184,8 +184,7 @@ def run_metrics_compare(cfg_obj):
 def run_shift_bound(cfg_obj):
     metric_cfg = _config(cfg_obj)
     plan = ProbePlan(seed=cfg_obj.seed, random_count=100)
-    up = rbound_estimate(up_shift(cfg_obj.depth), metric_cfg, plan=plan)
-    down = rbound_estimate(down_shift(cfg_obj.depth), metric_cfg, plan=plan)
+    up, down = rbound_estimates([up_shift(cfg_obj.depth), down_shift(cfg_obj.depth)], metric_cfg, plan=plan)
     certificates = [
         {
             "name": "up-shift-lower-below-analytic",
@@ -268,10 +267,9 @@ def run_neumann_invert(cfg_obj):
     gap = float(np.max(np.abs(result.operator.materialize() - oracle)))
     rows = []
     residual_ok = True
-    for m, s in enumerate(neumann_partial_sums(a, min(result.terms, 10))):
-        est = rbound_estimate(
-            dense_operator(a.materialize() @ s - np.eye(depth)), metric_cfg, plan=plan
-        )
+    sums = neumann_partial_sums(a, min(result.terms, 10))
+    residuals = [dense_operator(a.materialize() @ s - np.eye(depth)) for s in sums]
+    for m, est in enumerate(rbound_estimates(residuals, metric_cfg, plan=plan)):
         bound = 0.5 ** (m + 1)
         residual_ok &= est.lower_bound <= bound + 1e-9
         rows.append([m, est.lower_bound, bound])

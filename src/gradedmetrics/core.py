@@ -179,10 +179,10 @@ def metric_rows(ladders, cfg):
     """
     if ladders.shape[-1] != cfg.truncation:
         raise ShapeError(f"ladder depth {ladders.shape[-1]} != truncation {cfg.truncation}")
-    terms = cfg.level_weights * (ladders / (1.0 + ladders))  # phi, minus its domain check
-    if cfg.flavor == STANDARD:
-        return np.sum(terms, axis=-1)
-    return np.max(terms, axis=-1)
+    terms = ladders + 1.0  # phi, minus its domain check, in one fresh buffer
+    np.divide(ladders, terms, out=terms)
+    terms *= cfg.level_weights
+    return (np.add if cfg.flavor == STANDARD else np.maximum).reduce(terms, axis=-1)
 
 
 def _as_flavor(cfg, flavor):

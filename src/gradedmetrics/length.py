@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import STANDARD, graded_metric, metric_rows, phi
-from .errors import SingularVelocityError
+from .errors import DomainError, SingularVelocityError
 from .minkowski import ball_gauge_closed_form
 from .models import CurveSpec, _checked_ladders, _element_rows, element_ladders
 
@@ -121,7 +121,10 @@ def _gauge_terms(ladders, cfg):
     weights = cfg.level_weights
     step = max(1, _GAUGE_BLOCK // weights.size**2)
     blocks = (ladders[i : i + step, None, :] for i in range(0, len(ladders), step))
-    gauges = np.concatenate([ball_gauge_closed_form(weights, block, weights) for block in blocks])
+    with np.errstate(all="ignore"):  # kept-level candidates overflow at large depth
+        gauges = np.concatenate([ball_gauge_closed_form(weights, block, weights) for block in blocks])
+    if not np.isfinite(gauges).all():
+        raise DomainError("ball gauges must be finite")
     return np.sum(weights * phi(gauges), axis=-1)
 
 

@@ -101,7 +101,8 @@ def _mode_numbers(bandwidth):
 
 def sequence_ladders(rows, depth):
     """Ladders of coordinate rows (..., N): partial sums of magnitudes up to depth."""
-    return np.cumsum(np.abs(rows[..., :depth]), axis=-1)
+    ladders = np.abs(rows[..., :depth])
+    return np.add.accumulate(ladders, axis=-1, out=ladders)  # cumsum, in place
 
 
 def function_ladders(rows, depth):

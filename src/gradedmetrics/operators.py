@@ -6,7 +6,10 @@ deterministic probe plan yields a certified lower bound, and structured
 forms (shifts, diagonals, spectral differentiation) carry an analytic
 upper bound obtained by re-indexing the seminorm ladder.  Grade-lowering
 forms drop one ladder level in their codomain, which is what makes the
-re-indexed bound exact at finite truncation.
+re-indexed bound exact at finite truncation.  One probe pass serves every
+operator on one space and domain: the probe rows and their norms are built
+once, and each operator maps the unscaled bases, whose images are then
+scaled as the probes are (A(t b) = t A(b)), and the random rows.
 """
 
 from __future__ import annotations
@@ -180,30 +183,36 @@ class ProbePlan:
         Sequences get scaled basis vectors, functions scaled sines and
         cosines of every mode; seeded random directions follow.
         """
+        names, _, rows = self._probes(space, dim)
+        return [self._label(names, i) for i in range(len(rows))], rows
+
+    def _probes(self, space, dim):
+        """Basis names, unscaled basis rows and every probe row, in `probe_rows` order."""
+        rng = np.random.default_rng(self.seed)
         if space == SEQ:
-            names = [f"e{k + 1}" for k in range(dim)]
-            bases = np.eye(dim)
+            names, bases = [f"e{k + 1}" for k in range(dim)], np.eye(dim)
+            directions = rng.normal(size=(self.random_count, dim))
         else:
             modes = [(name, mode) for mode in range(1, dim // 2 + 1) for name in ("sin", "cos")]
             names = [f"{name}{mode}" for name, mode in modes]
             bases = [harmonic(mode, bandwidth=dim // 2, cosine=name == "cos").fourier for name, mode in modes]
-        rng = np.random.default_rng(self.seed)
-        directions = [
-            rng.normal(size=dim) if space == SEQ else random_function(rng, dim // 2).fourier
-            for _ in range(self.random_count)
-        ]
-        labels = [f"{name}*{t:g}" for name in names for t in self.basis_scales]
-        labels += [f"rng{i}*{s:g}" for i in range(self.random_count) for s in self.random_scales]
-        rows = np.concatenate(
-            [_scaled(bases, self.basis_scales, dim), _scaled(directions, self.random_scales, dim)]
-        )
-        return labels, rows
+            directions = [random_function(rng, dim // 2).fourier for _ in range(self.random_count)]
+            bases, directions = np.reshape(bases, (-1, dim)), np.reshape(directions, (-1, dim))
+        rows = [_scaled(bases, self.basis_scales), _scaled(directions, self.random_scales)]
+        return names, bases, np.concatenate(rows)
+
+    def _label(self, names, index):
+        """Label of the probe in row `index` of `probe_rows`."""
+        base, t = divmod(index, len(self.basis_scales))
+        if base < len(names):
+            return f"{names[base]}*{self.basis_scales[t]:g}"
+        i, s = divmod(index - len(names) * len(self.basis_scales), len(self.random_scales))
+        return f"rng{i}*{self.random_scales[s]:g}"
 
 
-def _scaled(bases, scales, dim):
+def _scaled(bases, scales):
     """Rows base * t, base by base and within each base scale by scale."""
-    bases = np.reshape(bases, (-1, 1, dim))
-    return (bases * np.asarray(scales)[:, None]).reshape(-1, dim)
+    return (bases[:, None, :] * np.asarray(scales)[:, None]).reshape(-1, bases.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -234,28 +243,43 @@ def rbound_estimate(op, cfg, radius=np.inf, plan=None):
     The lower bound is the maximum metric ratio over the probe plan; the
     codomain metric drops as many levels as the operator's ladder shift.
     """
+    return rbound_estimates([op], cfg, radius=radius, plan=plan)[0]
+
+
+def rbound_estimates(ops, cfg, radius=np.inf, plan=None):
+    """`rbound_estimate` of each operator in `ops`, from one probe pass; the
+    operators share a space and a domain dimension, else ShapeError."""
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     plan = plan or ProbePlan()
-    if op.space == SEQ and cfg.truncation != op.domain_dim:
+    space, dim = ops[0].space, ops[0].domain_dim
+    if any(op.space != space or op.domain_dim != dim for op in ops):
+        raise ShapeError("operators must share a space and a domain dimension")
+    if space == SEQ and cfg.truncation != dim:
         raise ShapeError("config truncation must match the operator domain")
-    cod_cfg = cfg if op.ladder_shift == 0 else cfg.with_truncation(cfg.truncation - op.ladder_shift)
-    ladders = _LADDERS[op.space]
-    labels, rows = plan.probe_rows(op.space, op.domain_dim)
+    ladders = _LADDERS[space]
+    names, bases, rows = plan._probes(space, dim)
     norms = metric_rows(ladders(rows, cfg.truncation), cfg)
     inside = (norms > 0.0) & (norms < radius)
-    if not inside.any():
+    kept = np.flatnonzero(inside)
+    if kept.size == 0:
         raise EmptyEstimateError("no probe fell inside the ball")
-    images = op._apply_rows(rows[inside])
-    ratios = metric_rows(ladders(images, cod_cfg.truncation), cod_cfg) / norms[inside]
-    best = int(np.argmax(ratios))
-    return RBoundEstimate(
-        radius=float(radius),
-        probe_count=int(inside.sum()),
-        witness=labels[int(np.flatnonzero(inside)[best])],
-        lower_bound=float(ratios[best]),
-        analytic_upper=op.analytic_rbound(cfg),
-    )
+    split = len(bases) * len(plan.basis_scales)
+    partial = kept.size < inside.size  # if not, full slices index by view: nothing is copied
+    whole, head, tail = (inside, inside[:split], inside[split:]) if partial else [slice(None)] * 3
+    randoms, norms = rows[split:][tail], norms[whole]
+    estimates = []
+    for op in ops:
+        cod_cfg = cfg if op.ladder_shift == 0 else cfg.with_truncation(cfg.truncation - op.ladder_shift)
+        basis_images = _scaled(op._apply_rows(bases), plan.basis_scales)[head]
+        images = np.concatenate([basis_images, op._apply_rows(randoms)])
+        ratios = metric_rows(ladders(images, cod_cfg.truncation), cod_cfg) / norms
+        best = int(np.argmax(ratios))
+        estimates.append(RBoundEstimate(
+            radius=float(radius), probe_count=kept.size, witness=plan._label(names, int(kept[best])),
+            lower_bound=float(ratios[best]), analytic_upper=op.analytic_rbound(cfg),
+        ))
+    return estimates
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,25 @@
 - `refined_quadrature` and `chord_sum`: the program evaluates each node
   and dyadic point once and works on rows; these evaluate every node of
   every round and every point of every level afresh, one at a time.
+- `rbound_reference`: the program builds the probe side of a bound
+  estimate once, applies each operator to the unscaled bases and scales
+  their images; this draws the random directions one at a time, applies
+  the operator to every scaled probe row in one product and formats every
+  probe label.
 """
 
 import numpy as np
 
 from gradedmetrics.core import graded_metric, metric_rows, phi
-from gradedmetrics.models import element_metric, sequence_ladders
+from gradedmetrics.errors import DomainError, EmptyEstimateError, ShapeError
+from gradedmetrics.models import (
+    element_metric,
+    function_ladders,
+    harmonic,
+    random_function,
+    sequence_ladders,
+)
+from gradedmetrics.operators import SEQ, ProbePlan, RBoundEstimate
 
 _MAX_BISECT = 200
 
@@ -95,3 +108,50 @@ def chord_sum(curve, cfg, level):
         chords = np.diff(np.stack([p.coords for p in points]), axis=0)
         return float(np.sum(metric_rows(sequence_ladders(chords, cfg.truncation), cfg)))
     return float(sum(element_metric(points[i + 1], points[i], cfg) for i in range(pieces)))
+
+
+def rbound_reference(op, cfg, radius=np.inf, plan=None):
+    """Dilation-bound estimate of one operator from every scaled probe row."""
+    if radius <= 0.0:
+        raise DomainError("radius must be positive")
+    plan = plan or ProbePlan()
+    if op.space == SEQ and cfg.truncation != op.domain_dim:
+        raise ShapeError("config truncation must match the operator domain")
+    cod_cfg = cfg if op.ladder_shift == 0 else cfg.with_truncation(cfg.truncation - op.ladder_shift)
+    ladders = sequence_ladders if op.space == SEQ else function_ladders
+    labels, rows = reference_probe_rows(plan, op.space, op.domain_dim)
+    norms = metric_rows(ladders(rows, cfg.truncation), cfg)
+    inside = (norms > 0.0) & (norms < radius)
+    if not inside.any():
+        raise EmptyEstimateError("no probe fell inside the ball")
+    images = op._apply_rows(rows[inside])
+    ratios = metric_rows(ladders(images, cod_cfg.truncation), cod_cfg) / norms[inside]
+    best = int(np.argmax(ratios))
+    return RBoundEstimate(
+        radius=float(radius),
+        probe_count=int(inside.sum()),
+        witness=labels[int(np.flatnonzero(inside)[best])],
+        lower_bound=float(ratios[best]),
+        analytic_upper=op.analytic_rbound(cfg),
+    )
+
+
+def reference_probe_rows(plan, space, dim):
+    """Labels and rows of every probe, in the order of `ProbePlan.probe_rows`."""
+    if space == SEQ:
+        names = [f"e{k + 1}" for k in range(dim)]
+        bases = np.eye(dim)
+    else:
+        modes = [(name, mode) for mode in range(1, dim // 2 + 1) for name in ("sin", "cos")]
+        names = [f"{name}{mode}" for name, mode in modes]
+        bases = [harmonic(mode, bandwidth=dim // 2, cosine=name == "cos").fourier for name, mode in modes]
+    rng = np.random.default_rng(plan.seed)
+    directions = [
+        rng.normal(size=dim) if space == SEQ else random_function(rng, dim // 2).fourier
+        for _ in range(plan.random_count)
+    ]
+    labels = [f"{name}*{t:g}" for name in names for t in plan.basis_scales]
+    labels += [f"rng{i}*{s:g}" for i in range(plan.random_count) for s in plan.random_scales]
+    basis_rows = np.reshape(bases, (-1, 1, dim)) * np.asarray(plan.basis_scales)[:, None]
+    random_rows = np.reshape(directions, (-1, 1, dim)) * np.asarray(plan.random_scales)[:, None]
+    return labels, np.concatenate([basis_rows.reshape(-1, dim), random_rows.reshape(-1, dim)])

@@ -195,6 +195,30 @@ class TestMetricRows:
         with pytest.raises(ShapeError):
             metric_rows(np.zeros((3, 5)), standard_config(4))
 
+    @pytest.mark.parametrize("flavor", [STANDARD, SUPREMUM])
+    @pytest.mark.parametrize("shape", [(7,), (40, 7), (3, 5, 7)])
+    def test_one_buffer_matches_expression(self, flavor, shape):
+        # the reduction as written before it worked in one buffer
+        rng = np.random.default_rng(37)
+        cfg = GradedMetricConfig(flavor, geometric_weights(0.3, 7), 7)
+        ladders = np.cumsum(np.abs(rng.normal(size=shape)) * 10.0 ** rng.uniform(-3, 3, shape), axis=-1)
+        ladders.flags.writeable = False
+        before = ladders.copy()
+        terms = cfg.level_weights * (ladders / (1.0 + ladders))
+        expect = np.sum(terms, axis=-1) if flavor == STANDARD else np.max(terms, axis=-1)
+        got = metric_rows(ladders, cfg)
+        assert np.array_equal(got, expect)
+        assert np.shape(got) == shape[:-1]
+        assert np.array_equal(ladders, before)
+
+    def test_read_only_ladder_values(self):
+        # a SeminormLadder's values are read-only; the metric must not write to them
+        lad = random_ladder(np.random.default_rng(38), 9)
+        before = lad.values.copy()
+        assert standard_metric(lad, None, standard_config(9)) > 0.0
+        assert sup_metric(lad, None, supremum_config(9)) > 0.0
+        assert np.array_equal(lad.values, before)
+
 
 class TestBallGeometry:
     def test_sup_midpoint_convexity(self):

@@ -248,3 +248,13 @@ class TestGaugeRows:
             result = metric_length(line_curve(ones), cfg)
         assert np.all(np.isfinite(gauges))
         assert 0.0 < result.value < 1.0
+        assert (result.value, result.status) == (1.0 / 3.0, "converged")
+
+    def test_depth_1060_rejected(self):
+        # past depth 1024 the kept-level candidates at ratio 1/2 overflow; the
+        # length is rejected instead of reported as a converged nan
+        curve = line_curve(TruncatedSequence(np.ones(1060)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                metric_length(curve, standard_config(1060))

@@ -20,6 +20,7 @@ from gradedmetrics.models import (
     line_curve,
     make_fk,
     random_function,
+    sequence_ladders,
     unit_sequence,
     zero_function,
     zero_sequence,
@@ -69,6 +70,27 @@ class TestSequenceLadder:
         lhs = (v * c).ladder().values
         rhs = abs(c) * v.ladder().values
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, depth", [((9,), 9), ((9,), 4), ((30, 9), 6), ((2, 3, 9), 9)])
+def test_sequence_ladders_one_buffer(shape, depth):
+    # the ladders as written before they worked in one buffer; inputs stay untouched
+    rng = np.random.default_rng(39)
+    rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    rows.flags.writeable = False
+    before = rows.copy()
+    got = sequence_ladders(rows, depth)
+    assert np.array_equal(got, np.cumsum(np.abs(rows[..., :depth]), axis=-1))
+    assert got.shape == shape[:-1] + (depth,)
+    assert np.array_equal(rows, before)
+    assert not np.shares_memory(got, rows)
+
+
+def test_sequence_ladder_of_read_only_coords():
+    v = TruncatedSequence(np.random.default_rng(40).normal(size=8))
+    before = v.coords.copy()
+    assert np.array_equal(v.ladder(5).values, np.cumsum(np.abs(before[:5])))
+    assert np.array_equal(v.coords, before)
 
 
 class TestPeriodicFunction:
