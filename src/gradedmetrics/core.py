@@ -157,9 +157,6 @@ class GradedMetricConfig:
     def with_truncation(self, truncation):
         return GradedMetricConfig(self.flavor, self.weights, truncation)
 
-    def metric(self, a, b=None):
-        return graded_metric(a, b, self)
-
 
 def standard_config(depth, r=0.5):
     """Standard-sum metric with geometric weights, the package default."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import STANDARD, graded_metric, metric_rows, phi
-from .errors import DomainError, SingularVelocityError
+from .errors import SingularVelocityError
 from .minkowski import ball_gauge_closed_form
 from .models import CurveSpec, _checked_ladders, _element_rows, element_ladders
 
@@ -78,10 +78,6 @@ def _chord_sums(curve, cfg):
         yield float(np.sum(metric_rows(chords, cfg)))
 
 
-def _chord_sum(curve, cfg, level):
-    return next(itertools.islice(_chord_sums(curve, cfg), level, None))
-
-
 def gromov_length(curve, cfg, tol=1e-6, max_level=24):
     """Partition-refinement length with divergence detection.
 
@@ -121,16 +117,8 @@ def _gauge_terms(ladders, cfg):
     weights = cfg.level_weights
     step = max(1, _GAUGE_BLOCK // weights.size**2)
     blocks = (ladders[i : i + step, None, :] for i in range(0, len(ladders), step))
-    with np.errstate(all="ignore"):  # kept-level candidates overflow at large depth
-        gauges = np.concatenate([ball_gauge_closed_form(weights, block, weights) for block in blocks])
-    if not np.isfinite(gauges).all():
-        raise DomainError("ball gauges must be finite")
+    gauges = np.concatenate([ball_gauge_closed_form(weights, block, weights) for block in blocks])
     return np.sum(weights * phi(gauges), axis=-1)
-
-
-def _velocity_gauge_term(velocity, cfg):
-    """`_gauge_terms` of one velocity vector."""
-    return float(_gauge_terms(element_ladders([velocity], cfg.truncation), cfg)[0])
 
 
 def _refined_quadrature(sample, domain, nodes, tol, max_rounds=6):

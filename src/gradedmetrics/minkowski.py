@@ -68,12 +68,18 @@ def ball_gauge_closed_form(weights, ladder_values, radius):
     Levels whose weight does not exceed the radius cannot pin the gauge
     and drop out, so a radius at or above the essential sup yields 0.  An
     array of radii gives an array of gauges.  A dropped level gets t = 1 and
-    so the candidate 0: its r / w_k could overflow at large depth.
+    so the candidate 0: its r / w_k could overflow at large depth.  A kept
+    level's candidate overflows when t_k is tiny (the smallest dyadic radii
+    at ratio 1/2 and depth 1060); a gauge that is not finite raises
+    DomainError.
     """
     weights = np.asarray(weights)
     radii = np.asarray(radius, dtype=float)[..., None]
     targets = np.where(weights > radii, radii, weights) / weights
-    gauges = np.max(np.asarray(ladder_values) * (1.0 - targets) / targets, axis=-1)
+    with np.errstate(all="ignore"):
+        gauges = np.max(np.asarray(ladder_values) * (1.0 - targets) / targets, axis=-1)
+    if not np.isfinite(gauges).all():
+        raise DomainError("ball gauges must be finite")
     return float(gauges) if gauges.ndim == 0 else gauges
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SeminormLadder, _derived, _frozen_array, graded_metric
+from .core import SeminormLadder, _derived, _frozen_array, graded_metric, metric_rows
 from .errors import DomainError, ShapeError
 
 _GRID_FACTOR = 8  # sup norms are taken on a grid this many times the bandwidth
@@ -307,6 +307,38 @@ def random_function(rng, bandwidth, scale=1.0, decay=1.0):
         coeffs[center + k] = c / 2.0
         coeffs[center - k] = np.conj(c) / 2.0
     return PeriodicFunction(coeffs)
+
+
+def _sample_rows(rng, x, shape, scale):
+    """Rows x + r * scale of one random element r at each index of `shape`, drawn in C order.
+
+    r is the draw of `random_sequence(rng, x.depth)`, or of
+    `random_function(rng, x.bandwidth)` for a function x: the same numbers,
+    in the same order and at the same bits, as those calls made one by one.
+    """
+    if not isinstance(x, PeriodicFunction):
+        return x.coords + rng.normal(size=(*shape, x.depth)) * scale
+    b = x.bandwidth
+    draws = rng.normal(size=(*shape, 2 * b + 1))  # mode 0, then re and im of each mode k > 0
+    modes = np.empty(draws.shape, dtype=complex)
+    modes[..., b] = draws[..., 0]
+    modes[..., b + 1 :] = (draws[..., 1::2] + 1j * draws[..., 2::2]) / 2.0
+    modes[..., :b] = np.conj(modes[..., : b : -1])
+    return x.fourier + modes * scale
+
+
+def _row_norms(rows, cfg):
+    """`element_norm` of the element held in each model row (..., n), in one pass."""
+    return metric_rows(_checked_ladders(rows, cfg.truncation), cfg)
+
+
+def _row_images(f, x, rows):
+    """Rows of f at the element of x's model held in each row (..., n) of `rows`;
+    f is called once per row, in C order."""
+    field = "fourier" if isinstance(x, PeriodicFunction) else "coords"
+    flat = rows.reshape(-1, rows.shape[-1])
+    images = _element_rows([f(_derived(type(x), field, row)) for row in flat])
+    return images.reshape(rows.shape[:-1] + images.shape[-1:])
 
 
 def element_norm(v, cfg):

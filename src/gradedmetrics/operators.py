@@ -114,12 +114,13 @@ class LinearOperator:
             return 1.0
         if self.kind == "down-shift":
             return float(np.max(w[1:] / w[:-1]))
-        if self.kind in ("up-shift", "derivative"):
-            ratios = w[:-1] / w[1:]
-            if self.ladder_shift == 1:
-                return float(np.max(ratios))
-            # same-depth variant: the last level absorbs the lost tail
-            return float(max(np.max(ratios), (w[-2] + w[-1]) / w[-1]))
+        if self.kind in ("up-shift", "derivative") and self.ladder_shift == 1:
+            return float(np.max(w[:-1] / w[1:]))
+        if self.kind == "up-shift":
+            # same-depth variant: the last level absorbs the lost tail.  The
+            # same-depth derivative has no such bound: its top level needs
+            # sup|D^N f|, which the depth-N ladder does not control.
+            return float(max(np.max(w[:-1] / w[1:]), (w[-2] + w[-1]) / w[-1]))
         if self.kind == "diagonal":
             return float(max(1.0, np.max(np.abs(self.diag))))
         if self.kind == "composition":

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateViolation, ContractionError, ConvergenceError, DomainError
-from .models import element_metric, element_norm, random_sequence
+from .models import _row_images, _row_norms, _sample_rows, element_metric, element_norm
 from .operators import rbound_estimate
 
 _RATIO_SLACK = 1e-9
+_RADII = tuple(2.0**-k for k in range(12))  # tried by certify_contraction_radius, largest first
+_RADIUS_PAIRS = 30  # pairs drawn at each radius
 
 
 @dataclass(frozen=True)
@@ -138,24 +140,23 @@ def _trace(head, tail, steps, ratios, residuals, rho, n, converged):
     )
 
 
-def certify_contraction_radius(step_map, x0, cfg, rho, radii=None, pairs=30, seed=0):
-    """Largest dyadic radius at which measured pair contractions stay below rho."""
-    if radii is None:
-        radii = [2.0**-k for k in range(0, 12)]
+def _pair_distances(f, x, pairs, cfg):
+    """Distances d(a, b) and d(f(a), f(b)) of the sampled pair rows (k, 2, n) around x."""
+    images = _row_images(f, x, pairs)
+    return _row_norms(pairs[:, 0] - pairs[:, 1], cfg), _row_norms(images[:, 0] - images[:, 1], cfg)
+
+
+def certify_contraction_radius(step_map, x0, cfg, rho, seed=0):
+    """Largest dyadic radius at which measured pair contractions stay below rho.
+
+    Each radius draws its own block of pairs x0 + N(0, 1) * radius / 2;
+    pairs at distance 0 are skipped.
+    """
     rng = np.random.default_rng(seed)
-    depth = cfg.truncation
-    for radius in radii:
-        ok = True
-        for _ in range(pairs):
-            a = x0 + random_sequence(rng, depth) * (0.5 * radius)
-            b = x0 + random_sequence(rng, depth) * (0.5 * radius)
-            dab = element_metric(a, b, cfg)
-            if dab == 0.0:
-                continue
-            if element_metric(step_map(a), step_map(b), cfg) > rho * dab + _RATIO_SLACK:
-                ok = False
-                break
-        if ok:
+    for radius in _RADII:
+        pairs = _sample_rows(rng, x0, (_RADIUS_PAIRS, 2), 0.5 * radius)
+        dab, dfab = _pair_distances(step_map, x0, pairs, cfg)
+        if not np.any((dab != 0.0) & (dfab > rho * dab + _RATIO_SLACK)):
             return radius
     raise ContractionError(f"no dyadic radius certifies rho={rho}")
 
@@ -226,35 +227,32 @@ def left_inverse_certificate(
     pairs=500,
     operator_bound=None,
     seed=0,
-    slack=1e-9,
 ):
     """Validate the lower Lipschitz bound (1 - rho) / <L0> on probe pairs.
 
     L0 is a bounded left inverse of the derivative at x0 and rho bounds
     <L0 f'(x) - 1> over the ball.  Every sampled pair must satisfy
-    lower * d(x1, x2) <= d(f(x1), f(x2)) + slack, else the certificate is
-    rejected with the violating pair as witness.
+    lower * d(x1, x2) <= d(f(x1), f(x2)) + 1e-9, else the certificate is
+    rejected with the first violating pair as witness.
     """
     if not 0.0 <= rho < 1.0:
         raise ContractionError(f"rho {rho} must lie in [0, 1)")
+    if pairs < 1:
+        raise DomainError("need at least one pair")
     if operator_bound is None:
         operator_bound = rbound_estimate(l0_operator, cfg).lower_bound
         bound_source = "probed"
     else:
         bound_source = "analytic"
     lower = (1.0 - rho) / operator_bound
-    rng = np.random.default_rng(seed)
-    depth = cfg.truncation
-    for i in range(pairs):
-        a = x0 + random_sequence(rng, depth) * (0.5 * radius)
-        b = x0 + random_sequence(rng, depth) * (0.5 * radius)
-        dab = element_metric(a, b, cfg)
-        dfab = element_metric(f(a), f(b), cfg)
-        if lower * dab > dfab + slack:
-            raise CertificateViolation(
-                f"lower Lipschitz bound {lower} violated on pair {i}",
-                witness=(a, b),
-            )
+    rows = _sample_rows(np.random.default_rng(seed), x0, (pairs, 2), 0.5 * radius)
+    dab, dfab = _pair_distances(f, x0, rows, cfg)
+    violated = np.flatnonzero(lower * dab > dfab + _RATIO_SLACK)
+    if violated.size:
+        raise CertificateViolation(
+            f"lower Lipschitz bound {lower} violated on pair {violated[0]}",
+            witness=tuple(type(x0)(row) for row in rows[violated[0]]),
+        )
     return InverseCertificate(
         base_point=x0,
         radius=float(radius),

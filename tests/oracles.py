@@ -13,20 +13,36 @@
   their images; this draws the random directions one at a time, applies
   the operator to every scaled probe row in one product and formats every
   probe label.
+- `contraction_radius_reference`, `left_inverse_reference`,
+  `b_diff_reference` and `metrics_compare_reference`: the program draws each
+  sample set as rows and measures it in one pass; these draw every sampled
+  point on its own, one `random_sequence`, `random_function` or ladder at a
+  time, and measure every pair with its own `element_metric`,
+  `element_norm` or `graded_metric` call.
 """
 
 import numpy as np
 
-from gradedmetrics.core import graded_metric, metric_rows, phi
-from gradedmetrics.errors import DomainError, EmptyEstimateError, ShapeError
+from gradedmetrics.calculus import DifferentiabilityReport, directional_derivative
+from gradedmetrics.core import SeminormLadder, comparability_check, graded_metric, metric_rows, phi
+from gradedmetrics.errors import (
+    CertificateViolation,
+    ContractionError,
+    DomainError,
+    EmptyEstimateError,
+    ShapeError,
+)
 from gradedmetrics.models import (
     element_metric,
+    element_norm,
     function_ladders,
     harmonic,
     random_function,
+    random_sequence,
     sequence_ladders,
+    unit_sequence,
 )
-from gradedmetrics.operators import SEQ, ProbePlan, RBoundEstimate
+from gradedmetrics.operators import SEQ, ProbePlan, RBoundEstimate, monotone_growth
 
 _MAX_BISECT = 200
 
@@ -155,3 +171,132 @@ def reference_probe_rows(plan, space, dim):
     basis_rows = np.reshape(bases, (-1, 1, dim)) * np.asarray(plan.basis_scales)[:, None]
     random_rows = np.reshape(directions, (-1, 1, dim)) * np.asarray(plan.random_scales)[:, None]
     return labels, np.concatenate([basis_rows.reshape(-1, dim), random_rows.reshape(-1, dim)])
+
+
+def _random_like(rng, x, scale):
+    """x + r * scale for one random element r of x's model."""
+    if hasattr(x, "coords"):
+        return x + random_sequence(rng, x.depth) * scale
+    return x + random_function(rng, x.bandwidth) * scale
+
+
+def contraction_radius_reference(step_map, x0, cfg, rho, seed=0):
+    """Largest dyadic radius whose 30 pairs x0 + N(0, 1) * radius / 2 all contract
+    by rho up to 1e-9; pairs at distance 0 are skipped.  Each radius draws its
+    whole block of pairs before the first is measured."""
+    rng = np.random.default_rng(seed)
+    for radius in [2.0**-k for k in range(12)]:
+        pairs = [(_random_like(rng, x0, 0.5 * radius), _random_like(rng, x0, 0.5 * radius)) for _ in range(30)]
+        for a, b in pairs:
+            dab = element_metric(a, b, cfg)
+            if dab != 0.0 and element_metric(step_map(a), step_map(b), cfg) > rho * dab + 1e-9:
+                break
+        else:
+            return radius
+    raise ContractionError(f"no dyadic radius certifies rho={rho}")
+
+
+def left_inverse_reference(f, x0, radius, cfg, lower, pairs=500, seed=0):
+    """Distances (d(a, b), d(f(a), f(b))) of the sampled pairs of a lower Lipschitz
+    check, pair by pair; raises CertificateViolation with the pair (a, b) as
+    witness at the first pair where lower * d(a, b) > d(f(a), f(b)) + 1e-9."""
+    rng = np.random.default_rng(seed)
+    distances = []
+    for i in range(pairs):
+        a = _random_like(rng, x0, 0.5 * radius)
+        b = _random_like(rng, x0, 0.5 * radius)
+        distances.append((element_metric(a, b, cfg), element_metric(f(a), f(b), cfg)))
+        if lower * distances[-1][0] > distances[-1][1] + 1e-9:
+            raise CertificateViolation(f"lower Lipschitz bound {lower} violated on pair {i}", witness=(a, b))
+    return distances
+
+
+def _scale_series_ratios(f, x, direction, cfg, scales):
+    """Metric dilation ratios of the difference quotient along one direction."""
+    ratios = []
+    fx = f(x)
+    for s in scales:
+        v = direction * s
+        nv = element_norm(v, cfg)
+        if nv == 0.0:
+            continue
+        ratios.append(graded_metric((f(x + v) - fx).ladder(cfg.truncation), None, cfg) / nv)
+    return np.asarray(ratios)
+
+
+def b_diff_reference(f, x, radius, cfg, directions=None, seed=0):
+    """`b_diff_report`, each sampled point drawn and measured on its own."""
+    depth = cfg.truncation
+    rng = np.random.default_rng(seed)
+    if directions is None:
+        directions = [unit_sequence(depth, k) for k in range(min(depth, 6))]
+        directions += [random_sequence(rng, depth) for _ in range(6)]
+    table = []
+    for idx, v in enumerate(directions):
+        deriv, err = directional_derivative(f, x, v)
+        table.append((f"dir{idx}", deriv, err))
+    errors = [row[2] for row in table]
+    differentiable = bool(np.all(np.isfinite(errors)) and np.max(errors) <= 1e-6)
+    per_direction = []
+    for v in directions:
+        ratios = _scale_series_ratios(f, x, v, cfg, np.logspace(-3, 0, 7))
+        if ratios.size:
+            per_direction.append(np.max(ratios))
+    base_quotients = []
+    d1, _ = directional_derivative(f, x, directions[0])
+    for _ in range(6):
+        y = _random_like(rng, x, 0.05 * radius)
+        d2, _ = directional_derivative(f, y, directions[0])
+        gap = element_metric(y, x, cfg)
+        if gap > 0.0:
+            base_quotients.append(element_metric(d2, d1, cfg) / gap)
+    margin = np.inf
+    witness = None
+    for i in range(20):
+        y = _random_like(rng, x, 0.3 * radius)
+        z = _random_like(rng, x, 0.3 * radius)
+        dyz = element_metric(y, z, cfg)
+        if dyz == 0.0:
+            continue
+        seg_bound = 0.0
+        for t in np.linspace(0.0, 1.0, 5):
+            ratios = _scale_series_ratios(f, y + (z - y) * t, z - y, cfg, np.logspace(-3, 0, 5))
+            if ratios.size:
+                seg_bound = max(seg_bound, float(np.max(ratios)))
+        slack = dyz * seg_bound + 1e-9 - element_metric(f(y), f(z), cfg)
+        if slack < margin:
+            margin = slack
+            witness = f"pair{i}"
+    return DifferentiabilityReport(
+        radius=float(radius),
+        derivative_table=tuple(table),
+        derivative_bound=float(np.max(per_direction)),
+        differentiable=differentiable,
+        derivative_bounded=not monotone_growth(per_direction),
+        base_lipschitz=float(np.max(base_quotients)) if base_quotients else 0.0,
+        mean_value_margin=float(margin),
+        witness=witness,
+    )
+
+
+def metrics_compare_reference(depth, cfgs, ratio, seed):
+    """Symmetry and triangle verdicts over the configs `cfgs`, and the
+    comparability triples at `ratio`, of the 100 ladder pairs of
+    `metrics-compare`, drawn and measured pair by pair."""
+    rng = np.random.default_rng(seed)
+
+    def ladder():
+        return SeminormLadder(np.cumsum(np.abs(rng.normal(size=depth))))
+
+    sym_ok = tri_ok = True
+    triples = []
+    for _ in range(100):
+        a, b = ladder(), ladder()
+        for cfg in cfgs:
+            d_ab = graded_metric(a, b, cfg)
+            sym_ok &= d_ab == graded_metric(b, a, cfg)
+            c = ladder()
+            tri_ok &= d_ab <= graded_metric(a, c, cfg) + graded_metric(c, b, cfg) + 1e-12
+        if ratio is not None:
+            triples.append(comparability_check(a, ratio, depth))
+    return sym_ok, tri_ok, triples

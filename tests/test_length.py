@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import bisected_gauge
+from oracles import bisected_gauge, chord_sum
 
 from gradedmetrics.core import standard_config, standard_metric, supremum_config
 from gradedmetrics.errors import SingularVelocityError
@@ -64,10 +64,8 @@ class TestGromov:
         assert whole.value == pytest.approx(left.value + right.value, abs=3e-5)
         # dyadic nesting is exact: level l of the whole equals level l-1 of the halves
         for level in range(1, 6):
-            from gradedmetrics.length import _chord_sum
-
-            full = _chord_sum(curve, CFG, level)
-            halves = _chord_sum(curve.restricted(0.0, 0.5), CFG, level - 1) + _chord_sum(
+            full = chord_sum(curve, CFG, level)
+            halves = chord_sum(curve.restricted(0.0, 0.5), CFG, level - 1) + chord_sum(
                 curve.restricted(0.5, 1.0), CFG, level - 1
             )
             assert full == pytest.approx(halves, abs=1e-12)
@@ -129,7 +127,8 @@ def test_metric_length_integrand_matches_bisected_gauges():
     # the closed-form integrand must agree with bisected gauges at every
     # level, the radii following the weights (2**-(n+1) at ratio 1/2)
     from gradedmetrics.core import phi
-    from gradedmetrics.length import _velocity_gauge_term
+    from gradedmetrics.length import _gauge_terms
+    from gradedmetrics.models import element_ladders
 
     for ratio in (0.5, 0.8):
         cfg = standard_config(DEPTH, ratio)
@@ -141,7 +140,7 @@ def test_metric_length_integrand_matches_bisected_gauges():
             expected = sum(
                 weights[n] * phi(bisected_gauge(sup_cfg, weights[n], v)) for n in range(DEPTH)
             )
-            assert _velocity_gauge_term(v, cfg) == pytest.approx(expected, rel=1e-9)
+            assert _gauge_terms(element_ladders([v], DEPTH), cfg)[0] == pytest.approx(expected, rel=1e-9)
 
 
 class TestSmoothLength:

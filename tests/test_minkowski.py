@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import bisected_gauge
@@ -196,3 +198,16 @@ def test_gauge_respects_radius_monotonicity():
     g1 = ball_gauge(CFG, 0.25, v)
     g2 = ball_gauge(CFG, 0.125, v)
     assert g1 < g2
+
+
+def test_gauge_overflow_raises_without_warning():
+    # at depth 1060 the radius 2**-1061 pins a gauge of about 2**1060, beyond
+    # the float range: the closed form raises instead of returning inf
+    cfg = supremum_config(1060)
+    v = TruncatedSequence(np.ones(1060))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            ball_gauge(cfg, 2.0**-1061, v)
+        with pytest.raises(DomainError):
+            dyadic_minkowski_family(cfg, v)

@@ -343,6 +343,13 @@ class TestDerivativeOperator:
         assert est.analytic_upper == pytest.approx(2.0)
         assert est.lower_bound <= 2.0 + 1e-9
 
+    def test_same_depth_has_no_ceiling(self):
+        # its top level needs sup|D^N f|, which the depth-N ladder does not
+        # control: the probe reaches 3.80 at B = 8, above the up-shift's 3
+        est = rbound_estimate(derivative_operator(8, drop_level=False), standard_config(4))
+        assert est.analytic_upper is None
+        assert est.lower_bound > 3.0
+
     def test_ladder_action_reduces_to_shift(self):
         f = harmonic(2) + harmonic(1, bandwidth=2, amplitude=0.3, cosine=True)
         d = derivative_operator(2)
