@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ShapeError
-from .models import _element_rows, _row_images, _row_norms, _sample_rows, random_sequence, unit_sequence
+from .errors import DomainError, EvaluationError
+from .models import _element_rows, _row_images, _row_norms, _sample_rows
 from .operators import monotone_growth
 
 DEFAULT_STEPS = tuple(0.01 * 0.5**i for i in range(8))
@@ -22,17 +22,15 @@ _SEGMENT_SAMPLES = 5  # points on each mean-value segment
 _PAIR_COUNT = 20  # mean-value segments drawn per report
 
 
-def directional_derivative(f, x, v, steps=DEFAULT_STEPS):
-    """Central-difference directional derivative with Richardson refinement.
+def directional_derivative(f, x, v):
+    """Central-difference directional derivative with Richardson refinement
+    over the steps DEFAULT_STEPS.
 
     Returns (derivative, error_estimate); the error is the sup-coordinate
     distance between the last two extrapolation levels.
     """
-    steps = tuple(steps)
-    if len(steps) < 3:
-        raise ShapeError("need at least three step sizes")
     diffs = []
-    for t in steps:
+    for t in DEFAULT_STEPS:
         try:
             plus = f(x + v * t)
             minus = f(x + v * (-t))
@@ -91,8 +89,9 @@ class DifferentiabilityReport:
 def _scale_series_ratios(f, x, bases, directions, cfg, scales):
     """Metric dilation ratios d(f(b + v s), f(b)) / |v s| of the difference quotient.
 
-    b and v are broadcast rows (..., n) of x's model; the ratios (..., len(scales))
-    are -inf where the step v s is zero.  f is called once per base and per step.
+    b and v are rows (..., n) of x's model that broadcast together; the ratios
+    (..., len(scales)) are -inf where the step v s is zero.  f is called once per
+    row of b and once per step.
     """
     steps = directions[..., None, :] * scales[:, None]
     norms = _row_norms(steps, cfg)
@@ -114,11 +113,11 @@ def b_diff_report(f, x, radius, cfg, directions=None, seed=0):
     through a graded probe family.  Sampled points are drawn as rows, and
     each sample set is measured in one pass.
     """
-    depth = cfg.truncation
     rng = np.random.default_rng(seed)
-    if directions is None:
-        directions = [unit_sequence(depth, k) for k in range(min(depth, 6))]
-        directions += [random_sequence(rng, depth) for _ in range(6)]
+    if directions is None:  # the first six basis elements and six random ones of x's model
+        model, dim = type(x), getattr(x, x._field).size
+        rows = np.concatenate([model._basis(dim)[1][:6], model._random_rows(rng, (6,), dim)])
+        directions = [model(row) for row in rows]
 
     table = []
     errors = []
@@ -130,18 +129,16 @@ def b_diff_report(f, x, radius, cfg, directions=None, seed=0):
 
     # dilation ratios of difference quotients across probe scales
     rows = _element_rows([x, *directions])
-    bases = np.broadcast_to(rows[0], rows[1:].shape)  # f(x) is evaluated once per direction
-    maxima = np.max(_scale_series_ratios(f, x, bases, rows[1:], cfg, np.logspace(-3, 0, 7)), axis=-1)
+    maxima = np.max(_scale_series_ratios(f, x, rows[0], rows[1:], cfg, np.logspace(-3, 0, 7)), axis=-1)
     per_direction = maxima[maxima > -np.inf]
     derivative_bound = float(np.max(per_direction))
     derivative_bounded = not monotone_growth(per_direction)
 
     # continuity of the derivative in the base point, as a Lipschitz quotient
-    d1, _ = directional_derivative(f, x, directions[0])
     ys = _sample_rows(rng, x, (6,), 0.05 * radius)
     gaps = _row_norms(ys - rows[0], cfg)
     derivs = _row_images(lambda y: directional_derivative(f, y, directions[0])[0], x, ys)
-    shifts = _row_norms(derivs - _element_rows([d1]), cfg)
+    shifts = _row_norms(derivs - _element_rows([table[0][1]]), cfg)
     base_lipschitz = float(np.max(np.divide(shifts, gaps, out=np.zeros(6), where=gaps > 0.0)))
 
     # mean-value inequality on sampled convex segments

@@ -21,12 +21,14 @@ import numpy as np
 from .core import STANDARD, graded_metric, metric_rows, phi
 from .errors import SingularVelocityError
 from .minkowski import ball_gauge_closed_form
-from .models import CurveSpec, _checked_ladders, _element_rows, element_ladders
+from .models import (CurveSpec, _checked_ladders, _element_rows, affine_curve, closed_form_curve,
+                     element_ladders, random_sequence)
 
 DIVERGENCE_FACTOR = 1.5
 DIVERGENCE_WINDOW = 3
 _MIN_LEVEL = 8  # below this, bounded directions are still in their transient
 _GAUGE_BLOCK = 1 << 18  # entries of the largest (rows, depth, depth) gauge array built at once
+_MAX_ROUNDS = 6  # Simpson refinement rounds of `_refined_quadrature`
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,14 @@ def _gauge_terms(ladders, cfg):
     return np.sum(weights * phi(gauges), axis=-1)
 
 
-def _refined_quadrature(sample, domain, nodes, tol, max_rounds=6):
+def _refined_quadrature(sample, domain, nodes, tol):
     """Composite Simpson refinement; sample(ts) gives one value or vector per node."""
     a, b = domain
     n = max(2, nodes)
     if n % 2:
         n += 1
     prev = values = None
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         values = _refine(sample, np.linspace(a, b, n + 1), values)
         weights = np.ones(n + 1)
         weights[1:-1:2] = 4.0
@@ -214,8 +216,6 @@ def affine_minimality_probe(a, b, cfg, count=50, amplitude=0.1, seed=0, quadratu
     at both endpoints; a margin below -1e-9 would falsify the
     implementation, not the convexity argument behind it.
     """
-    from .models import affine_curve, closed_form_curve, random_sequence
-
     base = smooth_length(affine_curve(a, b), cfg, quadrature=quadrature).value
     rng = np.random.default_rng(seed)
     diff = b - a

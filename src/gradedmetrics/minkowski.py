@@ -20,6 +20,9 @@ from .core import SUPREMUM
 from .errors import DegenerateBallError, DomainError
 from .models import element_norm
 
+_MAX_GRADE = 4  # largest grade shift `tame_grade_estimate` tries
+_SPREAD_THRESHOLD = 10.0  # largest accepted spread of ratio maxima across magnitude groups
+
 
 def essential_sup(ladder_values, weights):
     """Limit of the sup-metric value of v/t as t -> 0+: the largest weight
@@ -139,7 +142,7 @@ def _candidate_constants(values_a, values_b, scales, base, grade, depth, thresho
     return constants, None
 
 
-def tame_grade_estimate(family_a, family_b, probes, max_grade=4, spread_threshold=10.0):
+def tame_grade_estimate(family_a, family_b, probes):
     """Smallest (base, grade) with family_a[n] <= C_n * family_b[n + grade].
 
     `probes` is a sequence of (scale, element) pairs; the scale labels the
@@ -157,9 +160,9 @@ def tame_grade_estimate(family_a, family_b, probes, max_grade=4, spread_threshol
     depth = min(values_a.shape[1], values_b.shape[1])
     last_reason = "no candidate examined"
     for base in range(depth):
-        for grade in range(0, min(max_grade, depth - base - 1) + 1):
+        for grade in range(0, min(_MAX_GRADE, depth - base - 1) + 1):
             constants, reason = _candidate_constants(
-                values_a, values_b, scales, base, grade, depth, spread_threshold
+                values_a, values_b, scales, base, grade, depth, _SPREAD_THRESHOLD
             )
             if constants is not None:
                 return TameEstimate(
@@ -168,7 +171,7 @@ def tame_grade_estimate(family_a, family_b, probes, max_grade=4, spread_threshol
                     constants=constants,
                     verdict="satisfied",
                     witness=None,
-                    spread_threshold=spread_threshold,
+                    spread_threshold=_SPREAD_THRESHOLD,
                 )
             last_reason = f"(base={base}, grade={grade}) {reason}"
     return TameEstimate(
@@ -177,7 +180,7 @@ def tame_grade_estimate(family_a, family_b, probes, max_grade=4, spread_threshol
         constants=None,
         verdict="falsified",
         witness=last_reason,
-        spread_threshold=spread_threshold,
+        spread_threshold=_SPREAD_THRESHOLD,
     )
 
 

@@ -27,74 +27,6 @@ from .errors import DomainError, ShapeError
 _GRID_FACTOR = 8  # sup norms are taken on a grid this many times the bandwidth
 
 
-@dataclass(frozen=True)
-class TruncatedSequence:
-    """Element of the depth-N sequence model; coords[0] is the first level."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        if vals.ndim != 1 or vals.size == 0:
-            raise ShapeError("coords must form a non-empty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("coords must be finite")
-        object.__setattr__(self, "coords", _frozen_array(vals))
-
-    @property
-    def depth(self):
-        return int(self.coords.size)
-
-    def _check_same(self, other):
-        if not isinstance(other, TruncatedSequence):
-            raise ShapeError("mixed graded models in arithmetic")
-        if other.depth != self.depth:
-            raise ShapeError(f"depth mismatch {self.depth} vs {other.depth}")
-
-    def __add__(self, other):
-        self._check_same(other)
-        return _derived(TruncatedSequence, "coords", self.coords + other.coords)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return _derived(TruncatedSequence, "coords", self.coords - other.coords)
-
-    def __mul__(self, scalar):
-        return _derived(TruncatedSequence, "coords", self.coords * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _derived(TruncatedSequence, "coords", -self.coords)
-
-    def level_norms(self, depth=None):
-        """Per-level seminorms |coords[k]| (the ladder increments)."""
-        depth = self.depth if depth is None else depth
-        if not 1 <= depth <= self.depth:
-            raise ShapeError(f"depth {depth} outside 1..{self.depth}")
-        return np.abs(self.coords[:depth])
-
-    def ladder(self, depth=None):
-        """Partial sums of coordinate magnitudes up to the requested depth."""
-        return _derived(SeminormLadder, "values", np.cumsum(self.level_norms(depth)))
-
-    def sup_coordinate_norm(self):
-        return float(np.max(np.abs(self.coords)))
-
-
-def zero_sequence(depth):
-    return TruncatedSequence(np.zeros(depth))
-
-
-def unit_sequence(depth, index):
-    """Basis vector with a single 1 at the given 0-based level."""
-    if not 0 <= index < depth:
-        raise ShapeError(f"index {index} outside 0..{depth - 1}")
-    coords = np.zeros(depth)
-    coords[index] = 1.0
-    return TruncatedSequence(coords)
-
-
 def _mode_numbers(bandwidth):
     return np.arange(-bandwidth, bandwidth + 1)
 
@@ -108,31 +40,6 @@ def sequence_ladders(rows, depth):
 def function_ladders(rows, depth):
     """Ladders of Fourier rows (..., 2B+1): partial sums of derivative sup norms."""
     return np.cumsum(_derivative_sups(rows, depth), axis=-1)
-
-
-def _element_rows(elements):
-    """Stacked rows of elements of one model: coords, or Fourier modes for functions."""
-    kind = type(elements[0])
-    if any(type(e) is not kind for e in elements):
-        raise ShapeError("mixed graded models in one batch")
-    return np.stack([e.fourier if kind is PeriodicFunction else e.coords for e in elements])
-
-
-def _checked_ladders(rows, depth):
-    """Batched ladders of model rows (complex rows are Fourier modes), checked like
-    `.ladder(depth)`: finite, and a sequence depth in 1..N, which `sequence_ladders` skips."""
-    fourier = np.iscomplexobj(rows)
-    if not (fourier or 1 <= depth <= rows.shape[-1]):
-        raise ShapeError(f"depth {depth} outside 1..{rows.shape[-1]}")
-    ladders = (function_ladders if fourier else sequence_ladders)(rows, depth)
-    if not np.isfinite(ladders).all():
-        raise DomainError("SeminormLadder values must be finite")
-    return ladders
-
-
-def element_ladders(elements, depth):
-    """Ladders (len(elements), depth) of elements of one model, in one batched pass."""
-    return _checked_ladders(_element_rows(elements), depth)
 
 
 _FFT_BLOCK = 1 << 20  # complex entries of the largest grid array built at once
@@ -179,11 +86,130 @@ def _derivative_sups(rows, depth):
     return out.reshape(rows.shape[:-1] + (depth,))
 
 
+class _Element:
+    """Arithmetic of both models on their row field `_field`; each model also names its
+    ladders, basis and random draw of rows.  Sums, differences, real multiples and
+    negations of exactly conjugate-symmetric modes stay exactly symmetric."""
+
+    def _same_rows(self, other):
+        """The rows of self and other, elements of one model of one size."""
+        if not isinstance(other, type(self)):
+            raise ShapeError("mixed graded models in arithmetic")
+        a, b = getattr(self, self._field), getattr(other, self._field)
+        if a.size != b.size:
+            size = self._size_name
+            raise ShapeError(f"{size} mismatch {getattr(self, size)} vs {getattr(other, size)}")
+        return a, b
+
+    def __add__(self, other):
+        a, b = self._same_rows(other)
+        return _derived(type(self), self._field, a + b)
+
+    def __sub__(self, other):
+        a, b = self._same_rows(other)
+        return _derived(type(self), self._field, a - b)
+
+    def __mul__(self, scalar):
+        return _derived(type(self), self._field, getattr(self, self._field) * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _derived(type(self), self._field, -getattr(self, self._field))
+
+
 @dataclass(frozen=True)
-class PeriodicFunction:
+class TruncatedSequence(_Element):
+    """Element of the depth-N sequence model; coords[0] is the first level."""
+
+    coords: np.ndarray
+    _field = "coords"
+    _size_name = "depth"
+    _ladders = staticmethod(sequence_ladders)
+
+    def __post_init__(self):
+        vals = np.atleast_1d(np.asarray(self.coords, dtype=float))
+        if vals.ndim != 1 or vals.size == 0:
+            raise ShapeError("coords must form a non-empty 1-d array")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("coords must be finite")
+        object.__setattr__(self, "coords", _frozen_array(vals))
+
+    @property
+    def depth(self):
+        return int(self.coords.size)
+
+    @staticmethod
+    def _basis(dim):
+        """Names e1..eN and rows of the unit basis."""
+        return [f"e{k + 1}" for k in range(dim)], np.eye(dim)
+
+    @staticmethod
+    def _random_rows(rng, shape, dim):
+        """Rows (*shape, dim) of N(0, 1) coordinates, drawn in C order."""
+        return rng.normal(size=(*shape, dim))
+
+    def level_norms(self, depth=None):
+        """Per-level seminorms |coords[k]| (the ladder increments)."""
+        depth = self.depth if depth is None else depth
+        if not 1 <= depth <= self.depth:
+            raise ShapeError(f"depth {depth} outside 1..{self.depth}")
+        return np.abs(self.coords[:depth])
+
+    def ladder(self, depth=None):
+        """Partial sums of coordinate magnitudes up to the requested depth."""
+        return _derived(SeminormLadder, "values", np.cumsum(self.level_norms(depth)))
+
+    def sup_coordinate_norm(self):
+        return float(np.max(np.abs(self.coords)))
+
+
+def zero_sequence(depth):
+    return TruncatedSequence(np.zeros(depth))
+
+
+def unit_sequence(depth, index):
+    """Basis vector with a single 1 at the given 0-based level."""
+    if not 0 <= index < depth:
+        raise ShapeError(f"index {index} outside 0..{depth - 1}")
+    coords = np.zeros(depth)
+    coords[index] = 1.0
+    return TruncatedSequence(coords)
+
+
+def _element_rows(elements):
+    """Stacked rows of elements of one model: coords, or Fourier modes for functions."""
+    kind = type(elements[0])
+    if any(type(e) is not kind for e in elements):
+        raise ShapeError("mixed graded models in one batch")
+    return np.stack([getattr(e, kind._field) for e in elements])
+
+
+def _checked_ladders(rows, depth):
+    """Batched ladders of model rows (complex rows are Fourier modes), checked like
+    `.ladder(depth)`: finite, and a sequence depth in 1..N, which `sequence_ladders` skips."""
+    fourier = np.iscomplexobj(rows)
+    if not (fourier or 1 <= depth <= rows.shape[-1]):
+        raise ShapeError(f"depth {depth} outside 1..{rows.shape[-1]}")
+    ladders = (function_ladders if fourier else sequence_ladders)(rows, depth)
+    if not np.isfinite(ladders).all():
+        raise DomainError("SeminormLadder values must be finite")
+    return ladders
+
+
+def element_ladders(elements, depth):
+    """Ladders (len(elements), depth) of elements of one model, in one batched pass."""
+    return _checked_ladders(_element_rows(elements), depth)
+
+
+@dataclass(frozen=True)
+class PeriodicFunction(_Element):
     """Real band-limited function on the circle, stored as Fourier modes -B..B."""
 
     fourier: np.ndarray
+    _field = "fourier"
+    _size_name = "bandwidth"
+    _ladders = staticmethod(function_ladders)
 
     def __post_init__(self):
         vals = np.atleast_1d(np.asarray(self.fourier, dtype=complex))
@@ -202,29 +228,29 @@ class PeriodicFunction:
     def bandwidth(self):
         return int((self.fourier.size - 1) // 2)
 
-    def _check_same(self, other):
-        if not isinstance(other, PeriodicFunction):
-            raise ShapeError("mixed graded models in arithmetic")
-        if other.bandwidth != self.bandwidth:
-            raise ShapeError(f"bandwidth mismatch {self.bandwidth} vs {other.bandwidth}")
+    @staticmethod
+    def _basis(dim):
+        """Names sin1, cos1, sin2, ... and rows of sin(kx) and cos(kx), k = 1..B,
+        the modes `harmonic` gives them."""
+        b = dim // 2
+        k = np.arange(1, b + 1)
+        rows = np.zeros((b, 2, dim), dtype=complex)  # per mode: the sine, then the cosine
+        rows[k - 1, 0, b + k], rows[k - 1, 0, b - k] = complex(0.0, -0.5), complex(0.0, 0.5)
+        rows[k - 1, 1, b + k] = rows[k - 1, 1, b - k] = 0.5
+        return [f"{name}{j}" for j in k for name in ("sin", "cos")], rows.reshape(2 * b, dim)
 
-    # sums, differences, real multiples and negations of exactly
-    # conjugate-symmetric modes stay exactly symmetric
-    def __add__(self, other):
-        self._check_same(other)
-        return _derived(PeriodicFunction, "fourier", self.fourier + other.fourier)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return _derived(PeriodicFunction, "fourier", self.fourier - other.fourier)
-
-    def __mul__(self, scalar):
-        return _derived(PeriodicFunction, "fourier", self.fourier * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _derived(PeriodicFunction, "fourier", -self.fourier)
+    @staticmethod
+    def _random_rows(rng, shape, dim):
+        """Modes (*shape, dim) of random real functions, drawn in C order: per
+        function N(0, 1) draws for mode 0, then the real and imaginary part of
+        each mode k > 0, which becomes (re + i im) / 2."""
+        b = dim // 2
+        draws = rng.normal(size=(*shape, dim))
+        modes = np.empty(draws.shape, dtype=complex)
+        modes[..., b] = draws[..., 0]
+        modes[..., b + 1 :] = (draws[..., 1::2] + 1j * draws[..., 2::2]) / 2.0
+        modes[..., :b] = np.conj(modes[..., : b : -1])
+        return modes
 
     def grid(self, size=None):
         """Sample points and values on a uniform grid (default 8x bandwidth)."""
@@ -232,9 +258,8 @@ class PeriodicFunction:
         x = 2.0 * np.pi * np.arange(size) / size
         return x, _grid_values(self.fourier, size)
 
-    def derivative(self, order=1):
-        k = _mode_numbers(self.bandwidth)
-        return PeriodicFunction(self.fourier * (1j * k) ** order)
+    def derivative(self):
+        return PeriodicFunction(self.fourier * (1j * _mode_numbers(self.bandwidth)))
 
     def embed(self, bandwidth):
         """Same function viewed at a larger bandwidth (zero-padded modes)."""
@@ -294,37 +319,22 @@ def make_fk(k, bandwidth=None):
 
 
 def random_sequence(rng, depth, scale=1.0):
-    return TruncatedSequence(rng.normal(size=depth) * scale)
+    return TruncatedSequence(TruncatedSequence._random_rows(rng, (), depth) * scale)
 
 
 def random_function(rng, bandwidth, scale=1.0, decay=1.0):
-    """Random real trigonometric polynomial with geometrically damped modes."""
-    coeffs = np.zeros(2 * bandwidth + 1, dtype=complex)
-    center = bandwidth
-    coeffs[center] = rng.normal() * scale
-    for k in range(1, bandwidth + 1):
-        c = (rng.normal() + 1j * rng.normal()) * scale * decay**k
-        coeffs[center + k] = c / 2.0
-        coeffs[center - k] = np.conj(c) / 2.0
-    return PeriodicFunction(coeffs)
+    """Random real trigonometric polynomial; mode k is damped by scale * decay**|k|
+    (Python's power: numpy's can differ in the last bit)."""
+    damping = np.array([decay ** abs(k) for k in range(-bandwidth, bandwidth + 1)])
+    return PeriodicFunction(PeriodicFunction._random_rows(rng, (), 2 * bandwidth + 1) * scale * damping)
 
 
 def _sample_rows(rng, x, shape, scale):
-    """Rows x + r * scale of one random element r at each index of `shape`, drawn in C order.
-
-    r is the draw of `random_sequence(rng, x.depth)`, or of
-    `random_function(rng, x.bandwidth)` for a function x: the same numbers,
-    in the same order and at the same bits, as those calls made one by one.
-    """
-    if not isinstance(x, PeriodicFunction):
-        return x.coords + rng.normal(size=(*shape, x.depth)) * scale
-    b = x.bandwidth
-    draws = rng.normal(size=(*shape, 2 * b + 1))  # mode 0, then re and im of each mode k > 0
-    modes = np.empty(draws.shape, dtype=complex)
-    modes[..., b] = draws[..., 0]
-    modes[..., b + 1 :] = (draws[..., 1::2] + 1j * draws[..., 2::2]) / 2.0
-    modes[..., :b] = np.conj(modes[..., : b : -1])
-    return x.fourier + modes * scale
+    """Rows x + r * scale of one random element r of x's model at each index of
+    `shape`, drawn in C order: the numbers, order and bits of `random_sequence`
+    or `random_function` called one by one."""
+    row = getattr(x, x._field)
+    return row + type(x)._random_rows(rng, shape, row.size) * scale
 
 
 def _row_norms(rows, cfg):
@@ -335,9 +345,8 @@ def _row_norms(rows, cfg):
 def _row_images(f, x, rows):
     """Rows of f at the element of x's model held in each row (..., n) of `rows`;
     f is called once per row, in C order."""
-    field = "fourier" if isinstance(x, PeriodicFunction) else "coords"
     flat = rows.reshape(-1, rows.shape[-1])
-    images = _element_rows([f(_derived(type(x), field, row)) for row in flat])
+    images = _element_rows([f(_derived(type(x), x._field, row)) for row in flat])
     return images.reshape(rows.shape[:-1] + images.shape[-1:])
 
 

@@ -27,17 +27,15 @@ from .errors import (
     ShapeError,
 )
 from .core import metric_rows
-from .models import (
-    PeriodicFunction,
-    TruncatedSequence,
-    function_ladders,
-    harmonic,
-    random_function,
-    sequence_ladders,
-)
+from .models import PeriodicFunction, TruncatedSequence, _mode_numbers
 
 SEQ = "seq"
 FN = "fn"
+_RANK_TOL = 1e-12  # relative singular-value floor of a full-rank map in `distortion`
+_GROWTH_SLACK = 1e-12  # relative rise each step of `monotone_growth` must exceed
+_BUMP_HALF_WIDTH = 4.0  # support half-width of `plateau_bump`
+_OVERSAMPLE = 8  # grid points per unit of bandwidth in `composition_operator`
+_MODELS = {SEQ: TruncatedSequence, FN: PeriodicFunction}  # the model of each space
 
 
 @dataclass(frozen=True)
@@ -59,13 +57,11 @@ class LinearOperator:
     factors: tuple = ()
 
     def apply(self, v):
-        if self.space == SEQ:
-            if not isinstance(v, TruncatedSequence) or v.depth != self.domain_dim:
-                raise ShapeError("operator domain mismatch")
-            return TruncatedSequence(self._apply_rows(v.coords))
-        if not isinstance(v, PeriodicFunction) or v.fourier.size != self.domain_dim:
+        model = _MODELS[self.space]
+        row = getattr(v, model._field, None)
+        if row is None or row.size != self.domain_dim:
             raise ShapeError("operator domain mismatch")
-        return PeriodicFunction(self._apply_rows(v.fourier))
+        return model(self._apply_rows(row))
 
     def _apply_rows(self, rows):
         """Apply to coordinate rows along the last axis; the one apply path."""
@@ -189,16 +185,9 @@ class ProbePlan:
 
     def _probes(self, space, dim):
         """Basis names, unscaled basis rows and every probe row, in `probe_rows` order."""
-        rng = np.random.default_rng(self.seed)
-        if space == SEQ:
-            names, bases = [f"e{k + 1}" for k in range(dim)], np.eye(dim)
-            directions = rng.normal(size=(self.random_count, dim))
-        else:
-            modes = [(name, mode) for mode in range(1, dim // 2 + 1) for name in ("sin", "cos")]
-            names = [f"{name}{mode}" for name, mode in modes]
-            bases = [harmonic(mode, bandwidth=dim // 2, cosine=name == "cos").fourier for name, mode in modes]
-            directions = [random_function(rng, dim // 2).fourier for _ in range(self.random_count)]
-            bases, directions = np.reshape(bases, (-1, dim)), np.reshape(directions, (-1, dim))
+        model = _MODELS[space]
+        names, bases = model._basis(dim)
+        directions = model._random_rows(np.random.default_rng(self.seed), (self.random_count,), dim)
         rows = [_scaled(bases, self.basis_scales), _scaled(directions, self.random_scales)]
         return names, bases, np.concatenate(rows)
 
@@ -235,9 +224,6 @@ class RBoundEstimate:
             )
 
 
-_LADDERS = {SEQ: sequence_ladders, FN: function_ladders}
-
-
 def rbound_estimate(op, cfg, radius=np.inf, plan=None):
     """Estimate the dilation bound of `op` over the punctured radius ball.
 
@@ -258,7 +244,7 @@ def rbound_estimates(ops, cfg, radius=np.inf, plan=None):
         raise ShapeError("operators must share a space and a domain dimension")
     if space == SEQ and cfg.truncation != dim:
         raise ShapeError("config truncation must match the operator domain")
-    ladders = _LADDERS[space]
+    ladders = _MODELS[space]._ladders
     names, bases, rows = plan._probes(space, dim)
     norms = metric_rows(ladders(rows, cfg.truncation), cfg)
     inside = (norms > 0.0) & (norms < radius)
@@ -368,13 +354,13 @@ class DistortionReport:
     total: float
 
 
-def distortion(matrix, rank_tol=1e-12):
+def distortion(matrix):
     """Upper/lower/total distortion of a linear map between inner-product
     spaces: largest singular value, reciprocal of the smallest, and their max."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     sv = np.linalg.svd(mat, compute_uv=False)
     upper = float(sv[0]) if sv.size else 0.0
-    full_rank = sv.size == mat.shape[1] and sv[-1] > rank_tol * max(sv[0], 1.0)
+    full_rank = sv.size == mat.shape[1] and sv[-1] > _RANK_TOL * max(sv[0], 1.0)
     lower = float(1.0 / sv[-1]) if full_rank else np.inf
     return DistortionReport(upper=upper, lower=lower, total=max(upper, lower))
 
@@ -403,51 +389,47 @@ def unboundedness_probe(apply_fn, witnesses, norm_fn, base=None, step=1e-3):
     return np.asarray(ratios)
 
 
-def monotone_growth(values, window=None, slack=1e-12):
-    """True when the values increase monotonically across the trailing window."""
+def monotone_growth(values):
+    """True when the values increase monotonically across their trailing half
+    (two values at least)."""
     vals = np.asarray(values, dtype=float)
-    if window is None:
-        window = max(vals.size // 2, 2)
-    tail = vals[-window:]
+    tail = vals[-max(vals.size // 2, 2) :]
     if tail.size < 2:
         return False
-    return bool(np.all(np.diff(tail) > slack * np.maximum(np.abs(tail[:-1]), 1.0)))
+    return bool(np.all(np.diff(tail) > _GROWTH_SLACK * np.maximum(np.abs(tail[:-1]), 1.0)))
 
 
-def plateau_bump(y, half_width=4.0):
-    """Smooth compactly supported profile equal to 1 at the origin."""
+def plateau_bump(y):
+    """Smooth profile equal to 1 at the origin, supported on |y| < _BUMP_HALF_WIDTH."""
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
-    inside = np.abs(y) < half_width
-    u = y[inside] / half_width
+    inside = np.abs(y) < _BUMP_HALF_WIDTH
+    u = y[inside] / _BUMP_HALF_WIDTH
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - u * u))
     return out
 
 
-def oscillating_composition(rate, half_width=4.0):
+def oscillating_composition(rate):
     """Scalar map y -> bump(y) * sin(rate * y) used as a composition symbol."""
 
     def g(y):
-        return plateau_bump(y, half_width) * np.sin(rate * np.asarray(y, dtype=float))
+        return plateau_bump(y) * np.sin(rate * np.asarray(y, dtype=float))
 
     return g
 
 
-def composition_operator(scalar_fn, bandwidth, oversample=8):
+def composition_operator(scalar_fn, bandwidth):
     """Post-composition h -> P_B(g o h) on band-limited periodic functions.
 
     The pointwise composition leaves the band, so the result is projected
-    back by a fine-grid FFT.
+    back by an FFT on a grid of _OVERSAMPLE * B points.
     """
-    size = oversample * max(bandwidth, 1)
+    size = _OVERSAMPLE * max(bandwidth, 1)
 
     def apply(h):
         _, values = h.grid(size)
         spectrum = np.fft.fft(scalar_fn(values)) / size
-        coeffs = np.empty(2 * bandwidth + 1, dtype=complex)
-        for k in range(-bandwidth, bandwidth + 1):
-            coeffs[k + bandwidth] = spectrum[k % size]
-        return PeriodicFunction(coeffs)
+        return PeriodicFunction(spectrum[_mode_numbers(bandwidth) % size])
 
     return apply
 

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateViolation, ContractionError, ConvergenceError, DomainError
-from .models import _row_images, _row_norms, _sample_rows, element_metric, element_norm
-from .operators import rbound_estimate
+from .models import _row_images, _row_norms, _sample_rows, element_metric, element_norm, unit_sequence
+from .operators import dense_operator, neumann_invert, rbound_estimate
 
 _RATIO_SLACK = 1e-9
 _RADII = tuple(2.0**-k for k in range(12))  # tried by certify_contraction_radius, largest first
 _RADIUS_PAIRS = 30  # pairs drawn at each radius
+_NEUMANN_TOL = 1e-12  # series tolerance of the forward inverse in `inverse_derivative_check`
+_FD_STEP = 1e-4  # central-difference step of `inverse_derivative_check`
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ def left_inverse_certificate(
     )
 
 
-def inverse_derivative_check(f, inverse_fn, b, directions, cfg, neumann_tol=1e-12, fd_step=1e-4):
+def inverse_derivative_check(f, inverse_fn, b, directions, cfg):
     """Largest metric gap between the inverse's derivative and the inverse
     of the forward derivative, over the given directions.
 
@@ -273,21 +275,17 @@ def inverse_derivative_check(f, inverse_fn, b, directions, cfg, neumann_tol=1e-1
     finite-difference column Jacobian followed by series inversion for the
     forward side.
     """
-    from .operators import dense_operator, neumann_invert
-
     phi_b = inverse_fn(b)
     depth = phi_b.depth
-    from .models import unit_sequence
-
     jac = np.zeros((depth, depth))
     for j in range(depth):
         e = unit_sequence(depth, j)
-        jac[:, j] = (f(phi_b + e * fd_step) - f(phi_b + e * (-fd_step))).coords / (2.0 * fd_step)
+        jac[:, j] = (f(phi_b + e * _FD_STEP) - f(phi_b + e * (-_FD_STEP))).coords / (2.0 * _FD_STEP)
     jac_op = dense_operator(jac)
-    inv = neumann_invert(jac_op, cfg, tol=neumann_tol).operator
+    inv = neumann_invert(jac_op, cfg, tol=_NEUMANN_TOL).operator
     worst = 0.0
     for v in directions:
-        lhs = (inverse_fn(b + v * fd_step) - inverse_fn(b + v * (-fd_step))) * (0.5 / fd_step)
+        lhs = (inverse_fn(b + v * _FD_STEP) - inverse_fn(b + v * (-_FD_STEP))) * (0.5 / _FD_STEP)
         rhs = inv.apply(v)
         worst = max(worst, element_norm(lhs - rhs, cfg))
     return float(worst)

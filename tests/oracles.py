@@ -16,9 +16,12 @@
 - `contraction_radius_reference`, `left_inverse_reference`,
   `b_diff_reference` and `metrics_compare_reference`: the program draws each
   sample set as rows and measures it in one pass; these draw every sampled
-  point on its own, one `random_sequence`, `random_function` or ladder at a
-  time, and measure every pair with its own `element_metric`,
+  point on its own, one `random_sequence`, `random_function_reference` or
+  ladder at a time, and measure every pair with its own `element_metric`,
   `element_norm` or `graded_metric` call.
+- `random_function_reference`: the program draws the modes of random
+  functions as rows, in one normal draw per block; this draws them mode by
+  mode, two scalar draws for each mode above 0.
 """
 
 import numpy as np
@@ -33,11 +36,11 @@ from gradedmetrics.errors import (
     ShapeError,
 )
 from gradedmetrics.models import (
+    PeriodicFunction,
     element_metric,
     element_norm,
     function_ladders,
     harmonic,
-    random_function,
     random_sequence,
     sequence_ladders,
     unit_sequence,
@@ -83,6 +86,18 @@ def bisected_gauge(cfg, radius, v, tol=1e-12):
     if scale == 0.0 or radius >= np.max(weights[lad > 0.0]):
         return 0.0
     return scale * _bisect_gauge(lad / scale, weights, radius, tol)
+
+
+def random_function_reference(rng, bandwidth, scale=1.0, decay=1.0):
+    """Random real trigonometric polynomial with geometrically damped modes, mode by mode."""
+    coeffs = np.zeros(2 * bandwidth + 1, dtype=complex)
+    center = bandwidth
+    coeffs[center] = rng.normal() * scale
+    for k in range(1, bandwidth + 1):
+        c = (rng.normal() + 1j * rng.normal()) * scale * decay**k
+        coeffs[center + k] = c / 2.0
+        coeffs[center - k] = np.conj(c) / 2.0
+    return PeriodicFunction(coeffs)
 
 
 def evaluate(f, x):
@@ -163,7 +178,7 @@ def reference_probe_rows(plan, space, dim):
         bases = [harmonic(mode, bandwidth=dim // 2, cosine=name == "cos").fourier for name, mode in modes]
     rng = np.random.default_rng(plan.seed)
     directions = [
-        rng.normal(size=dim) if space == SEQ else random_function(rng, dim // 2).fourier
+        rng.normal(size=dim) if space == SEQ else random_function_reference(rng, dim // 2).fourier
         for _ in range(plan.random_count)
     ]
     labels = [f"{name}*{t:g}" for name in names for t in plan.basis_scales]
@@ -177,7 +192,7 @@ def _random_like(rng, x, scale):
     """x + r * scale for one random element r of x's model."""
     if hasattr(x, "coords"):
         return x + random_sequence(rng, x.depth) * scale
-    return x + random_function(rng, x.bandwidth) * scale
+    return x + random_function_reference(rng, x.bandwidth) * scale
 
 
 def contraction_radius_reference(step_map, x0, cfg, rho, seed=0):

@@ -127,8 +127,9 @@ class TestBDiffReport:
         assert report.mean_value_margin >= 0.0
 
     def test_map_evaluations(self):
-        # 12 directions: 12*16 derivative calls; scale ratios 12*(7 + 1);
-        # continuity 16 + 6*16; 20 pairs of 5 segment points * (5 + 1) + 2
+        # 12 directions: 12*16 derivative calls; scale ratios 12*7 + 1 (f(x) once);
+        # continuity 6*16 (the first derivative is the table's); 20 pairs of
+        # 5 segment points * (5 + 1) + 2
         calls = []
         g = tau_sine()
 
@@ -137,7 +138,7 @@ class TestBDiffReport:
             return g(x)
 
         b_diff_report(f, zero_sequence(DEPTH), radius=0.25, cfg=CFG)
-        assert len(calls) == 12 * 16 + 12 * 8 + (16 + 6 * 16) + 20 * (5 * 6 + 2)
+        assert len(calls) == 12 * 16 + (12 * 7 + 1) + 6 * 16 + 20 * (5 * 6 + 2)
 
     def test_composition_report_unbounded_flag(self):
         # sharpening peak directions expose the growing derivative ratios,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import evaluate, rbound_reference, reference_probe_rows
+from oracles import evaluate, random_function_reference, rbound_reference, reference_probe_rows
 
 from gradedmetrics.core import standard_config, supremum_config
 from gradedmetrics.errors import (
@@ -15,7 +15,6 @@ from gradedmetrics.models import (
     element_norm,
     harmonic,
     make_fk,
-    random_function,
     random_sequence,
     unit_sequence,
     zero_sequence,
@@ -112,7 +111,7 @@ class TestApply:
                 v = random_sequence(rng, d)
                 assert np.allclose(op.apply(v).coords, reference @ v.coords, rtol=0.0, atol=1e-13)
             else:
-                f = random_function(rng, bw)
+                f = random_function_reference(rng, bw)
                 assert np.allclose(op.apply(f).fourier, reference @ f.fourier, rtol=0.0, atol=1e-13)
         assert np.array_equal(dense_operator(dense_seq).materialize(), dense_seq)
 
@@ -189,7 +188,7 @@ class TestRBound:
                 for mode in range(1, bw + 1)
                 for name in ("sin", "cos")
             ]
-            randoms = [random_function(rng, bw) for _ in range(plan.random_count)]
+            randoms = [random_function_reference(rng, bw) for _ in range(plan.random_count)]
         labelled = [(f"{name}*{t:g}", v * t) for name, v in probes for t in plan.basis_scales]
         labelled += [(f"rng{i}*{s:g}", v * s) for i, v in enumerate(randoms) for s in plan.random_scales]
         best, witness, count = -np.inf, None, 0
@@ -300,14 +299,16 @@ class TestRBoundEstimates:
         plan = ProbePlan(seed=depth, basis_scales=REFERENCE_SCALES, random_count=20)
         _check_against_reference(exact, rounded, config(4), radius, plan, 2 * bandwidth + 1)
 
-    @pytest.mark.parametrize("space, dim", [(SEQ, 9), (FN, 9)])
+    @pytest.mark.parametrize("space, dim", [(s, d) for d in (9, 3, 17, 65) for s in (SEQ, FN)])
     def test_probe_rows_match_reference(self, space, dim):
-        # one normal draw of shape (count, dim) gives the per-direction numbers
-        plan = ProbePlan(seed=11, random_count=7)
-        labels, rows = plan.probe_rows(space, dim)
-        ref_labels, ref_rows = reference_probe_rows(plan, space, dim)
-        assert labels == ref_labels
-        assert np.array_equal(rows, ref_rows)
+        # one normal draw of shape (count, dim) gives the per-direction numbers,
+        # to the bit: the harmonic basis and the mode-by-mode function draws
+        for seed in (11, 0):
+            plan = ProbePlan(seed=seed, random_count=7)
+            labels, rows = plan.probe_rows(space, dim)
+            ref_labels, ref_rows = reference_probe_rows(plan, space, dim)
+            assert labels == ref_labels
+            assert rows.dtype == ref_rows.dtype and rows.tobytes() == ref_rows.tobytes()
 
     def test_mixed_operators_rejected(self):
         with pytest.raises(ShapeError):

@@ -10,13 +10,15 @@ from oracles import (
     contraction_radius_reference,
     left_inverse_reference,
     metrics_compare_reference,
+    random_function_reference,
 )
 
-from gradedmetrics.calculus import b_diff_report
+from gradedmetrics.calculus import DifferentiabilityReport, b_diff_report, directional_derivative
 from gradedmetrics.cli import ExperimentConfig, run_metrics_compare
 from gradedmetrics.core import GradedMetricConfig, geometric_weights, standard_config
 from gradedmetrics.errors import CertificateViolation, ContractionError
 from gradedmetrics.models import (
+    PeriodicFunction,
     TruncatedSequence,
     _sample_rows,
     harmonic,
@@ -55,11 +57,20 @@ def base_point(depth, seed):
     return TruncatedSequence(0.1 * np.random.default_rng([seed, 1]).normal(size=depth))
 
 
+@pytest.mark.parametrize("bandwidth", (1, 8, 32, 512))
+@pytest.mark.parametrize("scale, decay", ((1.0, 1.0), (1e3, 1.0), (1.0, 0.5), (0.37, 0.81)))
+def test_random_function_matches_mode_loop(bandwidth, scale, decay):
+    for seed in SEEDS:
+        got = random_function(np.random.default_rng(seed), bandwidth, scale, decay)
+        want = random_function_reference(np.random.default_rng(seed), bandwidth, scale, decay)
+        assert same(got.fourier, want.fourier)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sample_rows_repeat_the_element_draws(seed):
     for x, draw in (
         (base_point(16, seed), lambda rng: random_sequence(rng, 16)),
-        (harmonic(3, bandwidth=8) * 0.5, lambda rng: random_function(rng, 8)),
+        (harmonic(3, bandwidth=8) * 0.5, lambda rng: random_function_reference(rng, 8)),
     ):
         rows = _sample_rows(np.random.default_rng(seed), x, (5, 2), 0.3)
         rng = np.random.default_rng(seed)
@@ -187,6 +198,21 @@ def test_b_diff_of_a_function_map_matches_pair_loop():
         got = b_diff_report(comp, base, 0.25, cfg, directions=directions, seed=seed)
         want = b_diff_reference(comp, base, 0.25, cfg, directions=directions, seed=seed)
         assert_same_report(got, want)
+
+
+def test_b_diff_default_directions_follow_a_function_base_point():
+    # drawn in the base point's model at its bandwidth: sin1, cos1, ..., cos3,
+    # then six random functions from the report's generator
+    comp = composition_operator(oscillating_composition(rate=8), 8)
+    base = peak_function(8, center=np.pi) * 0.5
+    report = b_diff_report(comp, base, 0.25, standard_config(6))
+    assert isinstance(report, DifferentiabilityReport) and len(report.derivative_table) == 12
+    rng = np.random.default_rng(0)
+    directions = [harmonic(k, bandwidth=8, cosine=cosine) for k in (1, 2, 3) for cosine in (False, True)]
+    directions += [random_function_reference(rng, 8) for _ in range(6)]
+    for (_, got, err), v in zip(report.derivative_table, directions):
+        want, want_err = directional_derivative(comp, base, v)
+        assert isinstance(got, PeriodicFunction) and same(got.fourier, want.fourier) and same(err, want_err)
 
 
 @pytest.mark.parametrize("depth", (12, 64))
