@@ -21,8 +21,15 @@ import numpy as np
 from .core import STANDARD, graded_metric, metric_rows, phi
 from .errors import SingularVelocityError
 from .minkowski import ball_gauge_closed_form
-from .models import (CurveSpec, _checked_ladders, _element_rows, affine_curve, closed_form_curve,
-                     element_ladders, random_sequence)
+from .models import (
+    CurveSpec,
+    _checked_ladders,
+    _element_rows,
+    affine_curve,
+    closed_form_curve,
+    element_ladders,
+    random_sequence,
+)
 
 DIVERGENCE_FACTOR = 1.5
 DIVERGENCE_WINDOW = 3
