@@ -2,14 +2,14 @@
 
 The dilation bound of an operator (supremum of metric ratios over a
 punctured ball) is not computable exactly, so it is bracketed: a
-deterministic probe plan yields a certified lower bound, and structured
-forms (shifts, diagonals, spectral differentiation) carry an analytic
-upper bound obtained by re-indexing the seminorm ladder.  Grade-lowering
-forms drop one ladder level in their codomain, which is what makes the
-re-indexed bound exact at finite truncation.  One probe pass serves every
-operator on one space and domain: the probe rows and their norms are built
-once, and each operator maps the unscaled bases, whose images are then
-scaled as the probes are (A(t b) = t A(b)), and the random rows.
+deterministic probe plan yields a certified lower bound, and one ceiling
+rule (`_ceiling`) reads an upper bound off a level matrix that bounds the
+ladder increments of an image by those of its input: |A| for every
+sequence operator, dense ones included, and a shift for differentiation.
+One probe pass serves every operator on one space and domain: the probe
+rows and their norms are built once, and each operator maps the unscaled
+bases, whose images are then scaled as the probes are (A(t b) = t A(b)),
+and the random rows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     EmptyEstimateError,
     ShapeError,
 )
-from .core import metric_rows
+from .core import SUPREMUM, metric_rows
 from .models import PeriodicFunction, TruncatedSequence, _mode_numbers
 
 SEQ = "seq"
@@ -104,27 +104,42 @@ class LinearOperator:
         )
 
     def analytic_rbound(self, cfg):
-        """Upper bound on the metric dilation, when the structure gives one."""
-        w = cfg.level_weights
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "down-shift":
-            return float(np.max(w[1:] / w[:-1]))
-        if self.kind in ("up-shift", "derivative") and self.ladder_shift == 1:
-            return float(np.max(w[:-1] / w[1:]))
-        if self.kind == "up-shift":
-            # same-depth variant: the last level absorbs the lost tail.  The
-            # same-depth derivative has no such bound: its top level needs
-            # sup|D^N f|, which the depth-N ladder does not control.
-            return float(max(np.max(w[:-1] / w[1:]), (w[-2] + w[-1]) / w[-1]))
-        if self.kind == "diagonal":
-            return float(max(1.0, np.max(np.abs(self.diag))))
+        """Upper bound on the metric dilation: `_ceiling` of the level matrix, if any."""
+        levels = self._levels(cfg.truncation)
+        if levels is not None and levels.shape[1] != cfg.truncation:
+            raise ShapeError("config truncation must match the operator domain")
+        return None if levels is None else _ceiling(levels, cfg)
+
+    def _levels(self, depth):
+        """Non-negative E with q(Av) <= E q(v), q the increments |v_j| or sup|D^j f| of
+        a depth-`depth` ladder, or None: a Fourier multiplier's sup-norm gain is not
+        its largest symbol, and the same-depth derivative needs sup|D^depth f|."""
+        if self.space == SEQ:
+            return np.abs(self.matrix if self.kind == "dense" else self.materialize())
+        if self.kind == "identity" or self.kind == "derivative" and self.ladder_shift == 1:
+            return np.eye(depth - self.ladder_shift, depth, k=self.ladder_shift)
         if self.kind == "composition":
-            bounds = [op.analytic_rbound(cfg) for op in self.factors]
-            if any(b is None for b in bounds):
-                return None
-            return float(np.prod(bounds))
+            outer, inner = self.factors
+            e_out, e_in = outer._levels(depth - inner.ladder_shift), inner._levels(depth)
+            return None if e_out is None or e_in is None else e_out @ e_in
         return None
+
+
+def _ceiling(levels, cfg):
+    """Ceiling on <A> from a level matrix E of A (`LinearOperator._levels`).
+
+    With c_kj = sum_{i<=k} E_ij, C_k = max_j c_kj and m_k the last j with c_kj > 0,
+    p_k(Av) <= sum_j c_kj q_j(v) <= C_k p_{m_k}(v); phi increases and is subadditive,
+    so phi(C x) <= max(1, C) phi(x) and w_k phi(p_k(Av)) <= t_k w_{m_k} phi(p_{m_k}(v)),
+    t_k = (w_k / w_{m_k}) max(1, C_k).  Levels with c_k = 0 add nothing; <A> is at
+    most max_m of the sum of t_k over m_k = m, or max_k t_k in the supremum flavor.
+    """
+    w, cumulative = cfg.level_weights, np.cumsum(levels, axis=0)
+    rows = np.flatnonzero(cumulative.any(axis=1))
+    last = levels.shape[1] - 1 - np.argmax(cumulative[rows, ::-1] > 0.0, axis=1)
+    terms = w[rows] / w[last] * np.maximum(1.0, cumulative[rows].max(axis=1))
+    sums = terms if cfg.flavor == SUPREMUM else np.bincount(last, weights=terms)
+    return float(sums.max(initial=0.0))
 
 
 def identity_operator(dim, space=SEQ):

@@ -178,10 +178,10 @@ def right_inverse_solve(
 ):
     """Solve f(x) = y by iterating x - R0(f(x) - y) inside a certified ball.
 
-    R0 is a bounded right inverse of the derivative at x0 (typically from
-    a series inversion).  The certificate records the solvable target-ball
-    radius (1 - rho) / <R0> * r0; a target outside it voids the
-    certificate but the solve is still attempted.
+    R0 is a bounded right inverse of the derivative at x0 (typically from a series
+    inversion).  The certificate records the solvable target-ball radius
+    (1 - rho) / <R0> * r0; a target outside it voids the certificate but the solve
+    is still attempted.  <R0> defaults to R0's ceiling, or its probe floor if none.
     """
 
     def step_map(x):
@@ -189,11 +189,11 @@ def right_inverse_solve(
 
     if ball_radius is None:
         ball_radius = certify_contraction_radius(step_map, x0, cfg, rho, seed=seed)
+    bound_source = "analytic"
     if operator_bound is None:
-        operator_bound = rbound_estimate(r0_operator, cfg).lower_bound
-        bound_source = "probed"
-    else:
-        bound_source = "analytic"
+        operator_bound, bound_source = r0_operator.analytic_rbound(cfg), "ceiling"
+    if operator_bound is None:
+        operator_bound, bound_source = rbound_estimate(r0_operator, cfg).lower_bound, "probed"
     forward = element_metric(f(x0), y, cfg)
     target_radius = (1.0 - rho) / operator_bound * ball_radius
     valid = forward <= target_radius
@@ -232,10 +232,10 @@ def left_inverse_certificate(
 ):
     """Validate the lower Lipschitz bound (1 - rho) / <L0> on probe pairs.
 
-    L0 is a bounded left inverse of the derivative at x0 and rho bounds
-    <L0 f'(x) - 1> over the ball.  Every sampled pair must satisfy
-    lower * d(x1, x2) <= d(f(x1), f(x2)) + 1e-9, else the certificate is
-    rejected with the first violating pair as witness.
+    L0 is a bounded left inverse of the derivative at x0 and rho bounds <L0 f'(x) - 1>
+    over the ball.  Every sampled pair must satisfy lower * d(x1, x2) <= d(f(x1),
+    f(x2)) + 1e-9, else the certificate is rejected with the first violating pair as
+    witness.  <L0> defaults to its probe floor, so `lower` is then not a certified bound.
     """
     if not 0.0 <= rho < 1.0:
         raise ContractionError(f"rho {rho} must lie in [0, 1)")

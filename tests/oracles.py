@@ -167,6 +167,29 @@ def rbound_reference(op, cfg, radius=np.inf, plan=None):
     )
 
 
+def analytic_rbound_reference(op, cfg):
+    """Per-kind dilation ceilings by re-indexing the ladder, standard flavor:
+    1 for the identity, max w_{k+1}/w_k for the down-shift, max w_k/w_{k+1}
+    for grade-lowering shifts and derivatives, that or (w_{N-2} + w_{N-1})/w_{N-1}
+    for the same-depth up-shift, max(1, max|d|) for a diagonal, the product
+    of the factors' ceilings for a composition, and None otherwise."""
+    w = cfg.level_weights
+    if op.kind == "identity":
+        return 1.0
+    if op.kind == "down-shift":
+        return float(np.max(w[1:] / w[:-1]))
+    if op.kind in ("up-shift", "derivative") and op.ladder_shift == 1:
+        return float(np.max(w[:-1] / w[1:]))
+    if op.kind == "up-shift":
+        return float(max(np.max(w[:-1] / w[1:]), (w[-2] + w[-1]) / w[-1]))
+    if op.kind == "diagonal":
+        return float(max(1.0, np.max(np.abs(op.diag))))
+    if op.kind == "composition":
+        bounds = [analytic_rbound_reference(factor, cfg) for factor in op.factors]
+        return None if None in bounds else float(np.prod(bounds))
+    return None
+
+
 def reference_probe_rows(plan, space, dim):
     """Labels and rows of every probe, in the order of `ProbePlan.probe_rows`."""
     if space == SEQ:
@@ -295,23 +318,21 @@ def b_diff_reference(f, x, radius, cfg, directions=None, seed=0):
 
 
 def metrics_compare_reference(depth, cfgs, ratio, seed):
-    """Symmetry and triangle verdicts over the configs `cfgs`, and the
-    comparability triples at `ratio`, of the 100 ladder pairs of
-    `metrics-compare`, drawn and measured pair by pair."""
+    """Triangle verdict over the configs `cfgs`, and the comparability
+    triples at `ratio`, of the 100 ladder pairs of `metrics-compare`, drawn
+    and measured pair by pair."""
     rng = np.random.default_rng(seed)
 
     def ladder():
         return SeminormLadder(np.cumsum(np.abs(rng.normal(size=depth))))
 
-    sym_ok = tri_ok = True
+    tri_ok = True
     triples = []
     for _ in range(100):
         a, b = ladder(), ladder()
         for cfg in cfgs:
-            d_ab = graded_metric(a, b, cfg)
-            sym_ok &= d_ab == graded_metric(b, a, cfg)
             c = ladder()
-            tri_ok &= d_ab <= graded_metric(a, c, cfg) + graded_metric(c, b, cfg) + 1e-12
+            tri_ok &= graded_metric(a, b, cfg) <= graded_metric(a, c, cfg) + graded_metric(c, b, cfg) + 1e-12
         if ratio is not None:
             triples.append(comparability_check(a, ratio, depth))
-    return sym_ok, tri_ok, triples
+    return tri_ok, triples

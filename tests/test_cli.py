@@ -105,6 +105,17 @@ def test_failed_certificate_exits_2(tmp_path):
     assert [c["name"] for c in failed] == ["comparability-triple-ordered"]
 
 
+def test_metrics_compare_past_the_squared_weights(tmp_path):
+    # at ratio 1/2 the triple's r**2 weights 0.25**n underflow from depth 538, the
+    # ratio's own weights from depth 1075; only the latter is a configuration error
+    assert main(["metrics-compare", "--depth", "600", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "metrics-compare.json").read_text())
+    assert report["results"]["comparability_skipped"] == "ratio**2 weights underflow to 0 at depth 600"
+    assert report["results"]["comparability_triples"] == []
+    assert [c["name"] for c in report["certificates"]] == ["triangle-inequality-1e-12"]
+    assert main(["metrics-compare", "--depth", "1075", "--out", str(tmp_path)]) == 3
+
+
 def test_main_unknown_experiment_exits_3():
     assert main(["definitely-not-real"]) == 3
 

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import evaluate, random_function_reference, rbound_reference, reference_probe_rows
+from oracles import (
+    analytic_rbound_reference,
+    evaluate,
+    random_function_reference,
+    rbound_reference,
+    reference_probe_rows,
+)
 
 from gradedmetrics.core import standard_config, supremum_config
 from gradedmetrics.errors import (
@@ -207,6 +213,81 @@ class TestRBound:
     def test_ball_constraint(self):
         with pytest.raises(EmptyEstimateError):
             rbound_estimate(identity_operator(4), standard_config(4), radius=1e-12, plan=PLAN)
+
+
+def _structured_operators(depth, rng):
+    """The operators with a per-kind formula in `oracles.analytic_rbound_reference`."""
+    return [
+        identity_operator(depth),
+        up_shift(depth),
+        up_shift(depth, drop_level=False),
+        down_shift(depth),
+        diagonal_operator(rng.uniform(-2.0, 2.0, depth)),
+        diagonal_operator(rng.uniform(-1.0, 1.0, depth)),
+        down_shift(depth).compose(diagonal_operator(rng.uniform(-1.0, 1.0, depth))),
+        derivative_operator(8),
+    ]
+
+
+class TestCeiling:
+    """`analytic_upper` from the one ceiling rule on level matrices."""
+
+    @pytest.mark.parametrize("depth", [4, 16, 64, 256])
+    def test_per_kind_formulas_at_ratio_half(self, depth):
+        cfg = standard_config(depth)
+        for op in _structured_operators(depth, np.random.default_rng(depth)):
+            assert op.analytic_rbound(cfg) == analytic_rbound_reference(op, cfg), op.kind
+
+    @pytest.mark.parametrize("depth", [4, 16, 64, 256])
+    @pytest.mark.parametrize("ratio", [0.3, 0.8, 0.9])
+    def test_per_kind_formulas_at_other_ratios(self, depth, ratio):
+        cfg = standard_config(depth, r=ratio)
+        for op in _structured_operators(depth, np.random.default_rng(depth)):
+            got, want = op.analytic_rbound(cfg), analytic_rbound_reference(op, cfg)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), op.kind
+            if op.kind in ("identity", "diagonal"):
+                assert got >= want, op.kind
+
+    @pytest.mark.parametrize("config", [standard_config, supremum_config])
+    def test_sparse_dense_ceiling_above_probe(self, config):
+        # one probe pass for 100 seeded 8 x 8 matrices with about a quarter of
+        # their entries nonzero; a ceiling below the probe would also raise
+        ops = []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            ops.append(dense_operator(rng.normal(size=(8, 8)) * (rng.random((8, 8)) < 0.25)))
+        for est in rbound_estimates(ops, config(8)):
+            assert est.lower_bound <= est.analytic_upper
+
+    @pytest.mark.parametrize("depth", [16, 64, 256])
+    def test_right_inverse_of_ift_solve_closed_form(self, depth):
+        # R0 = sum_i (-0.1 tau)^i: the first column of |R0| sums to sum_{i<depth} 0.1^i
+        cfg = standard_config(depth)
+        forward = dense_operator(np.eye(depth) + 0.1 * down_shift(depth).materialize())
+        r0 = neumann_invert(forward, cfg, tol=1e-13, rho=0.5).operator
+        est = rbound_estimate(r0, cfg, plan=PLAN)
+        closed_form = sum(0.1**i for i in range(depth))
+        assert est.analytic_upper == pytest.approx(closed_form, rel=1e-15, abs=0.0)
+        assert est.lower_bound <= est.analytic_upper
+
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_same_depth_up_shift_supremum_is_two(self, depth):
+        # the supremum flavor takes the largest level term, not the top two summed
+        est = rbound_estimate(up_shift(depth, drop_level=False), supremum_config(depth), plan=PLAN)
+        assert est.analytic_upper == 2.0
+        assert est.lower_bound == pytest.approx(2.0, abs=1e-9)
+
+    def test_function_composition_needs_both_level_matrices(self):
+        cfg = standard_config(6)
+        d, dense = derivative_operator(4), dense_operator(np.eye(9), space=FN)
+        assert d.compose(d).analytic_rbound(cfg) == 4.0
+        assert d.compose(identity_operator(9, space=FN)).analytic_rbound(cfg) == 2.0
+        assert d.compose(dense).analytic_rbound(cfg) is None
+        assert dense.compose(d).analytic_rbound(cfg) is None
+
+    def test_mismatched_truncation_rejected(self):
+        with pytest.raises(ShapeError):
+            up_shift(8).analytic_rbound(standard_config(6))
 
 
 REFERENCE_SCALES = tuple(np.logspace(-3.0, 3.0, 7))

@@ -9,18 +9,7 @@ regenerates the references it changes with `tests/regenerate_reports.py`.
 import json
 
 import pytest
-from regenerate_reports import CASES, REFERENCE_DIR, run_case
-
-
-def normalized(path):
-    """File contents for comparison: CSV as bytes, JSON re-serialized without
-    the run's `timestamp` and `out`."""
-    if path.suffix == ".csv":
-        return path.read_bytes()
-    report = json.loads(path.read_text(encoding="utf-8"))
-    report["header"]["timestamp"] = None
-    report["header"]["config"]["out"] = None
-    return json.dumps(report, sort_keys=True, indent=2)
+from regenerate_reports import CASES, REFERENCE_DIR, json_changes, normalized, run_case
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -30,4 +19,8 @@ def test_report_matches_reference(name, tmp_path):
     got, want = tmp_path / name, REFERENCE_DIR / name
     assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
-        assert normalized(got / path.name) == normalized(path), path.name
+        old, new = normalized(path), normalized(got / path.name)
+        if path.suffix == ".csv":
+            assert new == old, path.name
+        else:
+            assert new == old, "\n".join([path.name, *json_changes(json.loads(old), json.loads(new))])

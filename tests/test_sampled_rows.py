@@ -224,6 +224,6 @@ def test_metrics_compare_matches_pair_loop(depth, ratio, seed):
     )
     weights = geometric_weights(ratio, depth)
     cfgs = [GradedMetricConfig(flavor, weights, depth) for flavor in ("standard-sum", "supremum")]
-    sym_ok, tri_ok, triples = metrics_compare_reference(depth, cfgs, ratio, seed)
-    assert [c["holds"] for c in certificates[:2]] == [sym_ok, tri_ok]
+    tri_ok, triples = metrics_compare_reference(depth, cfgs, ratio, seed)
+    assert certificates[0] == {"name": "triangle-inequality-1e-12", "holds": tri_ok}
     assert same([row[1:] for row in rows], triples)

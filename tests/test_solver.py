@@ -161,6 +161,17 @@ class TestRightInverse:
             update_gap = element_metric(x - self.r0.apply(self.f(x) - y), x, CFG)
             assert update_gap < 1e-10
 
+    def test_right_inverse_bound_is_its_ceiling(self, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probe pass")
+
+        monkeypatch.setattr("gradedmetrics.solver.rbound_estimate", no_probe)
+        y = unit_sequence(DEPTH, 0) * 0.1
+        _, _, cert = right_inverse_solve(self.f, self.r0, y, zero_sequence(DEPTH), CFG, rho=0.25, tol=1e-13)
+        assert cert.rho_source == "ceiling"
+        assert cert.operator_bound == self.r0.analytic_rbound(CFG)
+        assert cert.valid
+
     def test_identity_map_one_step(self):
         y = unit_sequence(DEPTH, 0) * 0.1
         x, trace, _ = right_inverse_solve(
