@@ -10,7 +10,8 @@ Regenerate only when a change means to alter a report, and list each
 changed field in `CHANGES.md`: `test_reference_reports.py` holds the
 program to these files.  The script prints each changed exit code, each
 new or changed CSV file and each changed JSON path with its old and new
-value, the same list a failing reference test prints.
+value, the same list a failing reference test prints.  A file whose
+content is unchanged apart from `timestamp` and `out` keeps its bytes.
 """
 
 import json

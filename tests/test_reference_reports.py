@@ -20,7 +20,7 @@ def test_report_matches_reference(name, tmp_path):
     assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
         old, new = normalized(path), normalized(got / path.name)
-        if path.suffix == ".csv":
-            assert new == old, path.name
-        else:
-            assert new == old, "\n".join([path.name, *json_changes(json.loads(old), json.loads(new))])
+        # the message, built only on failure, lists each changed JSON path
+        assert new == old, path.name if path.suffix == ".csv" else "\n".join(
+            [path.name, *json_changes(json.loads(old), json.loads(new))]
+        )

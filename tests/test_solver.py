@@ -7,11 +7,14 @@ from gradedmetrics.models import (
     TruncatedSequence,
     element_metric,
     element_norm,
+    harmonic,
     random_sequence,
     unit_sequence,
+    zero_function,
     zero_sequence,
 )
 from gradedmetrics.operators import (
+    FN,
     dense_operator,
     diagonal_operator,
     down_shift,
@@ -171,6 +174,16 @@ class TestRightInverse:
         assert cert.rho_source == "ceiling"
         assert cert.operator_bound == self.r0.analytic_rbound(CFG)
         assert cert.valid
+
+    def test_bound_without_a_ceiling_is_probed(self):
+        # a dense map on functions has no level matrix, so <R0> is the probe floor
+        r0, cfg = dense_operator(np.eye(9), space=FN), standard_config(4)
+        y = harmonic(1, bandwidth=4) * 0.01
+        _, _, cert = right_inverse_solve(
+            lambda p: p, r0, y, zero_function(4), cfg, rho=0.0, tol=1e-12, ball_radius=0.5
+        )
+        assert cert.rho_source == "probed"
+        assert cert.operator_bound == rbound_estimate(r0, cfg).lower_bound
 
     def test_identity_map_one_step(self):
         y = unit_sequence(DEPTH, 0) * 0.1
