@@ -26,7 +26,7 @@ from .core import (
     GradedMetricConfig,
     SeminormLadder,
     WeightSequence,
-    comparability_check,
+    _comparability_rows,
     geometric_weights,
     graded_metric,
     metric_rows,
@@ -133,7 +133,7 @@ def run_metrics_compare(cfg_obj):
         d_acb = metric_rows(np.abs(a - c), cfg) + metric_rows(np.abs(c - b), cfg)
         tri_ok &= bool(np.all(d_ab <= d_acb + 1e-12))
     squared = ratio is not None and (ratio * ratio) ** depth > 0.0  # the r**2 weights are representable
-    triples = [comparability_check(SeminormLadder(row), ratio, depth) for row in a] if squared else []
+    triples = _comparability_rows(a, ratio, depth) if squared else []
     rows = [[i, *t] for i, t in enumerate(triples)]
     ordered = all(t[0] <= t[1] + 1e-12 and t[1] <= t[2] + 1e-12 for t in triples)
     certificates = [{"name": "triangle-inequality-1e-12", "holds": bool(tri_ok)}]

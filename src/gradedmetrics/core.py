@@ -22,6 +22,7 @@ from .errors import DomainError, ShapeError
 STANDARD = "standard-sum"
 SUPREMUM = "supremum"
 _FLAVORS = (STANDARD, SUPREMUM)
+_BLOCK_BYTES = 1 << 19  # bytes of the largest working array a batched kernel builds at once
 
 
 def phi(x):
@@ -167,6 +168,11 @@ def supremum_config(depth, r=0.5):
     return GradedMetricConfig(SUPREMUM, geometric_weights(r, depth), depth)
 
 
+def _block_rows(row_bytes):
+    """Rows of `row_bytes` bytes each that fit in _BLOCK_BYTES, one at least."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def metric_rows(ladders, cfg):
     """Graded metric of every ladder along the last axis of `ladders`.
 
@@ -233,16 +239,15 @@ def comparability_check(ladder, r, depth):
     """
     if ladder.depth != depth:
         raise ShapeError(f"ladder depth {ladder.depth} != {depth}")
-    if ladder.is_zero():
-        return (0.0, 0.0, 0.0)
-    slow = GradedMetricConfig(STANDARD, geometric_weights(r * r, depth), depth)
-    sup = GradedMetricConfig(SUPREMUM, geometric_weights(r, depth), depth)
-    fast = GradedMetricConfig(STANDARD, geometric_weights(r, depth), depth)
-    return (
-        standard_metric(ladder, None, slow),
-        sup_metric(ladder, None, sup),
-        standard_metric(ladder, None, fast),
-    )
+    return (0.0, 0.0, 0.0) if ladder.is_zero() else _comparability_rows(ladder.values, r, depth)[0]
+
+
+def _comparability_rows(ladders, r, depth):
+    """`comparability_check` triples of ladder rows (..., depth), one `metric_rows` pass per metric."""
+    weights = geometric_weights(r, depth)
+    cfgs = [(STANDARD, geometric_weights(r * r, depth)), (SUPREMUM, weights), (STANDARD, weights)]
+    columns = [metric_rows(ladders, GradedMetricConfig(flavor, w, depth)) for flavor, w in cfgs]
+    return list(zip(*np.reshape(columns, (3, -1)).tolist()))
 
 
 def line_profile(t):

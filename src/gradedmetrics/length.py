@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STANDARD, graded_metric, metric_rows, phi
+from .core import STANDARD, _block_rows, graded_metric, metric_rows, phi
 from .errors import SingularVelocityError
-from .minkowski import ball_gauge_closed_form
+from .minkowski import _gauge_factors, _gauges
 from .models import (
     CurveSpec,
     _checked_ladders,
@@ -34,7 +34,6 @@ from .models import (
 DIVERGENCE_FACTOR = 1.5
 DIVERGENCE_WINDOW = 3
 _MIN_LEVEL = 8  # below this, bounded directions are still in their transient
-_GAUGE_BLOCK = 1 << 18  # entries of the largest (rows, depth, depth) gauge array built at once
 _MAX_ROUNDS = 6  # Simpson refinement rounds of `_refined_quadrature`
 
 
@@ -121,12 +120,15 @@ def _gauge_terms(ladders, cfg):
     the weights (at the default ratio 1/2 they are the dyadic radii
     2**-(i+1)).  That this keeps the metric length at or below the smooth
     length is checked on seeded curves at ratios 0.3, 0.5 and 0.8, not
-    proved.  Rows go in blocks of at most _GAUGE_BLOCK gauge entries (one row at least).
+    proved.  The closed form's (depth, depth) factors are formed once; blocks of
+    rows form their candidates in one buffer within `core._BLOCK_BYTES`.
     """
     weights = cfg.level_weights
-    step = max(1, _GAUGE_BLOCK // weights.size**2)
+    keep, targets = _gauge_factors(weights, weights)
+    step = _block_rows(targets.nbytes)
+    buffer = np.empty((min(step, len(ladders)),) + targets.shape)
     blocks = (ladders[i : i + step, None, :] for i in range(0, len(ladders), step))
-    gauges = np.concatenate([ball_gauge_closed_form(weights, block, weights) for block in blocks])
+    gauges = np.concatenate([_gauges(block, keep, targets, out=buffer[: len(block)]) for block in blocks])
     return np.sum(weights * phi(gauges), axis=-1)
 
 

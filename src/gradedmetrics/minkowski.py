@@ -76,11 +76,21 @@ def ball_gauge_closed_form(weights, ladder_values, radius):
     at ratio 1/2 and depth 1060); a gauge that is not finite raises
     DomainError.
     """
-    weights = np.asarray(weights)
+    return _gauges(np.asarray(ladder_values), *_gauge_factors(np.asarray(weights), radius))
+
+
+def _gauge_factors(weights, radius):
+    """(1 - t, t) per radius r, with t_k = r / w_k where w_k > r and 1 elsewhere."""
     radii = np.asarray(radius, dtype=float)[..., None]
     targets = np.where(weights > radii, radii, weights) / weights
+    return 1.0 - targets, targets
+
+
+def _gauges(ladders, keep, targets, out=None):
+    """Gauges max_k p_k (1 - t_k) / t_k of ladders p, the candidates formed in `out` if given."""
     with np.errstate(all="ignore"):
-        gauges = np.max(np.asarray(ladder_values) * (1.0 - targets) / targets, axis=-1)
+        candidates = np.multiply(ladders, keep, out=out)
+        gauges = np.max(np.divide(candidates, targets, out=candidates), axis=-1)
     if not np.isfinite(gauges).all():
         raise DomainError("ball gauges must be finite")
     return float(gauges) if gauges.ndim == 0 else gauges

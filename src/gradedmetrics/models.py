@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SeminormLadder, _derived, _frozen_array, graded_metric, metric_rows
+from .core import SeminormLadder, _block_rows, _derived, _frozen_array, graded_metric, metric_rows
 from .errors import DomainError, ShapeError
 
 _GRID_FACTOR = 8  # sup norms are taken on a grid this many times the bandwidth
@@ -40,9 +40,6 @@ def sequence_ladders(rows, depth):
 def function_ladders(rows, depth):
     """Ladders of Fourier rows (..., 2B+1): partial sums of derivative sup norms."""
     return np.cumsum(_derivative_sups(rows, depth), axis=-1)
-
-
-_FFT_BLOCK = 1 << 20  # complex entries of the largest grid array built at once
 
 
 def _grid_values(spectra, size):
@@ -66,8 +63,9 @@ def _grid_values(spectra, size):
 def _derivative_sups(rows, depth):
     """Sup norms on the default grid of derivative orders 0..depth-1.
 
-    One inverse FFT covers all orders of a block of rows; blocks keep the
-    (rows, depth, grid) working array below _FFT_BLOCK entries.
+    One inverse FFT per (row, order); blocks of rows, or of one row's orders
+    where a row does not fit, keep the (rows, orders, grid) working array
+    within `core._BLOCK_BYTES`, so one row at bandwidth 512 spans blocks.
     """
     if depth < 1:
         raise ShapeError(f"depth {depth} must be at least 1")
@@ -79,10 +77,12 @@ def _derivative_sups(rows, depth):
     np.cumprod(powers, axis=0, out=powers)
     flat = rows.reshape(-1, n)
     out = np.empty((flat.shape[0], depth))
-    step = max(1, _FFT_BLOCK // (depth * size))
-    for start in range(0, flat.shape[0], step):
-        values = _grid_values(flat[start : start + step, None, :] * powers, size)
-        np.max(np.abs(values), axis=-1, out=out[start : start + step])
+    orders = min(depth, _block_rows(size * powers.itemsize))  # a row, or its orders, per block
+    step = _block_rows(orders * size * powers.itemsize)
+    for start in range(0, len(flat), step):
+        for first in range(0, depth, orders):
+            values = _grid_values(flat[start : start + step, None, :] * powers[first : first + orders], size)
+            np.max(np.abs(values), axis=-1, out=out[start : start + step, first : first + orders])
     return out.reshape(rows.shape[:-1] + (depth,))
 
 

@@ -6,10 +6,10 @@ deterministic probe plan yields a certified lower bound, and one ceiling
 rule (`_ceiling`) reads an upper bound off a level matrix that bounds the
 ladder increments of an image by those of its input: |A| for every
 sequence operator, dense ones included, and a shift for differentiation.
-One probe pass serves every operator on one space and domain: the probe
-rows and their norms are built once, and each operator maps the unscaled
-bases, whose images are then scaled as the probes are (A(t b) = t A(b)),
-and the random rows.
+One probe pass serves every operator on one space and domain, in blocks of
+whole bases or random directions within `core._BLOCK_BYTES` that keep only
+a probe count and first maxima: each operator maps the unscaled bases, whose
+images are then scaled as the probes are (A(t b) = t A(b)), and the random rows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     EmptyEstimateError,
     ShapeError,
 )
-from .core import SUPREMUM, metric_rows
+from .core import SUPREMUM, _block_rows, metric_rows
 from .models import PeriodicFunction, TruncatedSequence, _mode_numbers
 
 SEQ = "seq"
@@ -195,16 +195,16 @@ class ProbePlan:
         Sequences get scaled basis vectors, functions scaled sines and
         cosines of every mode; seeded random directions follow.
         """
-        names, _, rows = self._probes(space, dim)
+        names, parts = self._parts(space, dim)
+        rows = np.concatenate([_scaled(units, scales) for units, scales in parts])
         return [self._label(names, i) for i in range(len(rows))], rows
 
-    def _probes(self, space, dim):
-        """Basis names, unscaled basis rows and every probe row, in `probe_rows` order."""
+    def _parts(self, space, dim):
+        """Basis names and (unscaled rows, scales) of the basis and random probes."""
         model = _MODELS[space]
         names, bases = model._basis(dim)
         directions = model._random_rows(np.random.default_rng(self.seed), (self.random_count,), dim)
-        rows = [_scaled(bases, self.basis_scales), _scaled(directions, self.random_scales)]
-        return names, bases, np.concatenate(rows)
+        return names, ((bases, self.basis_scales), (directions, self.random_scales))
 
     def _label(self, names, index):
         """Label of the probe in row `index` of `probe_rows`."""
@@ -218,6 +218,19 @@ class ProbePlan:
 def _scaled(bases, scales):
     """Rows base * t, base by base and within each base scale by scale."""
     return (bases[:, None, :] * np.asarray(scales)[:, None]).reshape(-1, bases.shape[-1])
+
+
+def _probe_blocks(units, scales, ops):
+    """Probe rows of each block of whole units within `core._BLOCK_BYTES`, and each
+    op's images of those units unscaled, made for as many units as fit at once."""
+    width = units.itemsize * units.shape[-1]
+    step = _block_rows(len(scales) * width)
+    chunk = step * max(1, _block_rows(width) // step)
+    for head in range(0, len(units), chunk):
+        mapped = [op._apply_rows(units[head : head + chunk]) for op in ops]
+        for start in range(0, min(chunk, len(units) - head), step):
+            rows = _scaled(units[head + start : head + start + step], scales)
+            yield rows, [images[start : start + step] for images in mapped]
 
 
 @dataclass(frozen=True)
@@ -260,25 +273,28 @@ def rbound_estimates(ops, cfg, radius=np.inf, plan=None):
     if space == SEQ and cfg.truncation != dim:
         raise ShapeError("config truncation must match the operator domain")
     ladders = _MODELS[space]._ladders
-    names, bases, rows = plan._probes(space, dim)
-    norms = metric_rows(ladders(rows, cfg.truncation), cfg)
-    inside = (norms > 0.0) & (norms < radius)
-    kept = np.flatnonzero(inside)
-    if kept.size == 0:
+    cod_cfgs = [cfg.with_truncation(cfg.truncation - op.ladder_shift) for op in ops]
+    names, parts = plan._parts(space, dim)
+    count = offset = 0
+    maxima = [[] for _ in ops]  # per operator: (ratio, probe index) of each block's first maximum
+    for basis, (units, scales) in zip((True, False), parts):
+        for rows, mapped in _probe_blocks(units, scales, ops if basis else ()):
+            norms = metric_rows(ladders(rows, cfg.truncation), cfg)
+            kept = np.flatnonzero((norms > 0.0) & (norms < radius))
+            for i, (op, cod_cfg) in enumerate(zip(ops, cod_cfgs)) if kept.size else ():
+                images = _scaled(mapped[i], scales)[kept] if basis else op._apply_rows(rows[kept])
+                ratios = metric_rows(ladders(images, cod_cfg.truncation), cod_cfg) / norms[kept]
+                best = int(np.argmax(ratios))
+                maxima[i].append((ratios[best], offset + int(kept[best])))
+            count, offset = count + kept.size, offset + len(rows)
+    if count == 0:
         raise EmptyEstimateError("no probe fell inside the ball")
-    split = len(bases) * len(plan.basis_scales)
-    partial = kept.size < inside.size  # if not, full slices index by view: nothing is copied
-    whole, head, tail = (inside, inside[:split], inside[split:]) if partial else [slice(None)] * 3
-    randoms, norms = rows[split:][tail], norms[whole]
     estimates = []
-    for op in ops:
-        cod_cfg = cfg if op.ladder_shift == 0 else cfg.with_truncation(cfg.truncation - op.ladder_shift)
-        basis_images = _scaled(op._apply_rows(bases), plan.basis_scales)[head]
-        images = np.concatenate([basis_images, op._apply_rows(randoms)])
-        ratios = metric_rows(ladders(images, cod_cfg.truncation), cod_cfg) / norms
-        best = int(np.argmax(ratios))
+    for op, found in zip(ops, maxima):
+        ratios, indices = zip(*found)
+        best = int(np.argmax(ratios))  # of equal maxima, the first block's
         estimates.append(RBoundEstimate(
-            radius=float(radius), probe_count=kept.size, witness=plan._label(names, int(kept[best])),
+            radius=float(radius), probe_count=count, witness=plan._label(names, indices[best]),
             lower_bound=float(ratios[best]), analytic_upper=op.analytic_rbound(cfg),
         ))
     return estimates

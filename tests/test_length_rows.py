@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from oracles import chord_sum, refined_quadrature
 
-from gradedmetrics.core import phi, standard_config
+from gradedmetrics.core import _BLOCK_BYTES, phi, standard_config
 from gradedmetrics.errors import DomainError, ShapeError
 from gradedmetrics.length import (
-    _GAUGE_BLOCK,
     _gauge_terms,
     _refine,
     _refined_quadrature,
@@ -221,7 +220,7 @@ class TestGaugeRows:
         weights = cfg.level_weights
         rng = np.random.default_rng(40)
         ladders = element_ladders([random_sequence(rng, 256) for _ in range(10)], 256)
-        assert _GAUGE_BLOCK // 256**2 <= 4  # ten rows span at least three blocks
+        assert _BLOCK_BYTES // (8 * 256**2) <= 4  # ten rows span at least three blocks
         expected = [
             np.sum(weights * phi(ball_gauge_closed_form(weights, row, weights))) for row in ladders
         ]
