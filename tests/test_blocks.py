@@ -217,18 +217,18 @@ def _peak_bytes(compute):
 
 class TestWorkingMemory:
     def test_probe_pass_at_depth_256(self):
-        # the unblocked pass held 59.5 MB here
+        # full-size (21 * 256 + 800, 256) probe arrays would take about 60 MB
         ops = [up_shift(256), down_shift(256)]
         cfg, plan = standard_config(256), ProbePlan(random_count=100)
         assert _peak_bytes(lambda: rbound_estimates(ops, cfg, plan=plan)) < 10 * DEFAULT
 
     def test_function_ladders_of_the_bandwidth_32_probes(self):
-        # the unblocked ladders held 52.2 MB here
+        # one (rows, 12, 256) complex grid for all rows would take about 52 MB
         _, rows = ProbePlan().probe_rows(FN, 65)
         assert _peak_bytes(lambda: function_ladders(rows, 12)) < 6 * DEFAULT
 
     def test_gauge_terms_at_depth_256(self):
-        # 2 MB gauge blocks held 4.6 MB here
+        # 2 MB blocks of (rows, 256, 256) candidates would take about 4.6 MB
         rng = np.random.default_rng(31)
         ladders = element_ladders([random_sequence(rng, 256) for _ in range(65)], 256)
         assert _peak_bytes(lambda: _gauge_terms(ladders, standard_config(256))) < 6 * DEFAULT
