@@ -10,6 +10,8 @@ One probe pass serves every operator on one space and domain, in blocks of
 whole bases or random directions within `core._BLOCK_BYTES` that keep only
 a probe count and first maxima: each operator maps the unscaled bases, whose
 images are then scaled as the probes are (A(t b) = t A(b)), and the random rows.
+Only a ceiling proves a bound: `neumann-invert`'s residual bounds are ceilings,
+and its probe pass is kept to show an expanding map has no series inverse.
 """
 
 from __future__ import annotations
@@ -317,23 +319,24 @@ def neumann_invert(op, cfg, radius=np.inf, tol=1e-10, max_terms=64, rho=None, pl
     The series sum_{i<=m} (1 - A)^i is truncated at the first m whose
     a-priori tail bound rho^(m+1) / (1 - rho) falls below `tol`; the
     returned certificates carry that bound and the inverse bound
-    1 / (1 - rho).  `rho` defaults to the probe estimate of <1 - A>.
+    1 / (1 - rho), which hold when the caller's `rho` bounds <1 - A>.
+    With `rho=None`, rho is the probe floor of <1 - A> and the tail bound is
+    not proved; that path stays because the finite-difference Jacobian gap of
+    `solver.inverse_derivative_check` has ceiling 1.0 (probe 0.4985).
     """
     if op.domain_dim != op.codomain_dim or op.ladder_shift != 0:
         raise ShapeError("series inversion needs an endomorphism")
     a = op.materialize()
-    gap = dense_operator(np.eye(a.shape[0], dtype=a.dtype) - a, space=op.space)
+    gap = np.eye(a.shape[0], dtype=a.dtype) - a
     if rho is None:
-        rho = rbound_estimate(gap, cfg, radius=radius, plan=plan).lower_bound
+        rho = rbound_estimate(dense_operator(gap, space=op.space), cfg, radius=radius, plan=plan).lower_bound
     if rho >= 1.0:
         raise ContractionError(f"<1 - A> estimate {rho} is not below 1")
-    if rho == 0.0:
-        terms = 0
-    else:
-        terms = int(np.ceil(np.log(tol * (1.0 - rho)) / np.log(rho))) - 1
-        terms = max(terms, 0)
-    for total in _series_sums(gap.matrix, min(terms, max_terms)):
-        pass  # only the last partial sum is kept
+    terms = 0 if rho == 0.0 else max(int(np.ceil(np.log(tol * (1.0 - rho)) / np.log(rho))) - 1, 0)
+    power, total = np.eye(a.shape[0], dtype=a.dtype), np.eye(a.shape[0], dtype=a.dtype)
+    for _ in range(min(terms, max_terms)):
+        power = power @ gap
+        total += power
     if terms > max_terms:
         raise ConvergenceError(
             f"need {terms} terms for tolerance {tol}, budget is {max_terms}", partial=total
@@ -345,23 +348,6 @@ def neumann_invert(op, cfg, radius=np.inf, tol=1e-10, max_terms=64, rho=None, pl
         residual_bound=float(rho ** (terms + 1) / (1.0 - rho)),
         inverse_bound=float(1.0 / (1.0 - rho)),
     )
-
-
-def _series_sums(gap, terms):
-    """Yield the partial sums S_0..S_terms of sum_i gap^i, each a new array."""
-    power = np.eye(gap.shape[0], dtype=gap.dtype)
-    total = power.copy()
-    yield total
-    for _ in range(terms):
-        power = power @ gap
-        total = total + power
-        yield total
-
-
-def neumann_partial_sums(op, terms):
-    """Partial sums S_0..S_terms of the inversion series, as matrices."""
-    a = op.materialize()
-    return list(_series_sums(np.eye(a.shape[0], dtype=a.dtype) - a, terms))
 
 
 def perturbed_invert_bound(ainv_bound, gap):

@@ -3,8 +3,10 @@
 The contraction factor is always an input, verified online against the
 measured step ratios, never estimated silently: the rate certificate
 rho**n / (1 - rho) * d(x0, x1) only means something when rho is owned by
-the caller.  Three consecutive measured violations abort a run; isolated
-ones are recorded in the trace and tolerated as floating-point noise.
+the caller.  The one exception is `inverse_derivative_check`, whose series
+inverse takes rho from a probe floor (`neumann_invert` with `rho=None`).
+Three consecutive measured violations abort a run; isolated ones are
+recorded in the trace and tolerated as floating-point noise.
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@
 - `random_function_reference`: the program draws the modes of random
   functions as rows, in one normal draw per block; this draws them mode by
   mode, two scalar draws for each mode above 0.
+- `neumann_partial_sums`: the program keeps one running power and sum of the
+  inversion series; this sums numpy matrix powers afresh for every S_m.
 """
 
 import numpy as np
@@ -165,6 +167,12 @@ def rbound_reference(op, cfg, radius=np.inf, plan=None):
         lower_bound=float(ratios[best]),
         analytic_upper=op.analytic_rbound(cfg),
     )
+
+
+def neumann_partial_sums(a, terms):
+    """Partial sums S_0..S_terms of sum_i (1 - a)^i, a a square matrix."""
+    gap = np.eye(len(a)) - a
+    return [sum(np.linalg.matrix_power(gap, i) for i in range(m + 1)) for m in range(terms + 1)]
 
 
 def analytic_rbound_reference(op, cfg):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gradedmetrics
+from gradedmetrics import cli, operators
 from gradedmetrics.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -103,6 +104,40 @@ def test_failed_certificate_exits_2(tmp_path):
     report = json.loads((tmp_path / "metrics-compare.json").read_text())
     failed = [c for c in report["certificates"] if not c["holds"]]
     assert [c["name"] for c in failed] == ["comparability-triple-ordered"]
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def test_neumann_invert_residual_ceilings_equal_their_bounds(tmp_path):
+    assert main(["neumann-invert", "--format", "csv", "--out", str(tmp_path)]) == 0
+    header, *rows = _csv_rows(tmp_path / "neumann-invert.csv")
+    assert header == ["m", "residual_ceiling", "bound"]
+    assert [float(ceiling) for _, ceiling, _ in rows] == [0.5 ** (m + 1) for m in range(11)]
+    assert all(ceiling == bound for _, ceiling, bound in rows)
+
+
+def test_neumann_invert_ceiling_disproves_rho_at_ratio_08(tmp_path):
+    argv = ["neumann-invert", "--weights", "geometric:0.8", "--format", "both", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    report = json.loads((tmp_path / "neumann-invert.json").read_text())
+    assert [c["name"] for c in report["certificates"] if not c["holds"]] == ["residual-bounds-respected"]
+    assert float(_csv_rows(tmp_path / "neumann-invert.csv")[1][1]) == 0.8000000000000002
+
+
+def test_neumann_invert_probes_only_the_expanding_map(tmp_path, monkeypatch):
+    passes = []
+    estimates = operators.rbound_estimates
+
+    def counted(ops, *args, **kwargs):
+        passes.append(len(ops))
+        return estimates(ops, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "rbound_estimates", counted)
+    monkeypatch.setattr(cli, "rbound_estimates", counted)
+    assert main(["neumann-invert", "--out", str(tmp_path)]) == 0
+    assert passes == [1]
 
 
 def test_metrics_compare_past_the_squared_weights(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from oracles import (
     analytic_rbound_reference,
     evaluate,
+    neumann_partial_sums,
     random_function_reference,
     rbound_reference,
     reference_probe_rows,
@@ -39,7 +40,6 @@ from gradedmetrics.operators import (
     identity_operator,
     monotone_growth,
     neumann_invert,
-    neumann_partial_sums,
     oscillating_composition,
     peak_function,
     perturbed_invert_bound,
@@ -463,7 +463,7 @@ class TestNeumann:
         tau = down_shift(DEPTH)
         a = dense_operator(np.eye(DEPTH) - 0.5 * tau.materialize())
         rho = 0.5
-        sums = neumann_partial_sums(a, 12)
+        sums = neumann_partial_sums(a.materialize(), 12)
         inverse = np.linalg.inv(a.materialize())
         for m, s in enumerate(sums):
             resid = dense_operator(a.materialize() @ s - np.eye(DEPTH))
@@ -479,6 +479,23 @@ class TestNeumann:
         with pytest.raises(ConvergenceError) as info:
             neumann_invert(a, CFG, tol=1e-12, max_terms=3, plan=PLAN)
         assert info.value.partial is not None
+        assert np.array_equal(info.value.partial, neumann_partial_sums(a.materialize(), 3)[-1])
+
+    def test_series_equals_fresh_matrix_powers(self):
+        a = np.eye(DEPTH) - 0.5 * np.eye(DEPTH, k=-1)
+        result = neumann_invert(dense_operator(a), CFG, tol=1e-12, rho=0.5)
+        assert np.array_equal(result.operator.matrix, neumann_partial_sums(a, result.terms)[-1])
+
+    @pytest.mark.parametrize("depth", [16, 64, 256])
+    def test_residuals_are_gap_powers_with_exact_ceilings(self, depth):
+        # what lets `neumann-invert` bound the residual of S_m by the ceiling of G^(m+1)
+        g = 0.5 * np.eye(depth, k=-1)
+        a = np.eye(depth) - g
+        cfg = standard_config(depth)
+        for m, s in enumerate(neumann_partial_sums(a, 10)):
+            power = np.linalg.matrix_power(g, m + 1)
+            assert np.array_equal(a @ s - np.eye(depth), -power)
+            assert dense_operator(power).analytic_rbound(cfg) == 0.5 ** (m + 1)
 
 
 class TestPerturbedInvert:
